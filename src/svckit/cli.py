@@ -1,18 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error,
-3 precondition failure (e.g. graph not strongly connected where required).
+3 precondition failure (e.g. graph not strongly connected where required,
+or witness enumeration refused at sigma >= 3 without --enumerate-large).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from . import families
 from .connectivity import (
+    EnumerationGuardError,
     report,
     sec,
     svc,
@@ -52,8 +53,8 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graphml"])
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = all cores); results do not depend on it")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored: svckit runs single-threaded")
 
     p = sub.add_parser("analyze", help="full connectivity report")
     p.add_argument("file")
@@ -112,13 +113,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _threads(args) -> int:
-    t = getattr(args, "threads", 1) or (os.cpu_count() or 1)
-    if t < 1:
-        raise GraphInputError(f"--threads must be >= 1 or 0, got {t}")
-    return t
-
-
 def _load(args) -> DirectedGraph:
     g = read_graph(args.file, IngestOptions(format=args.format))
     if getattr(args, "scc_largest", False):
@@ -148,7 +142,6 @@ def _run(args) -> int:
         return 0
 
     g = _load(args)
-    threads = _threads(args)
 
     if cmd == "analyze":
         rep = report(
@@ -156,24 +149,23 @@ def _run(args) -> int:
             enumerate_witnesses=args.enumerate_witnesses,
             limit=args.limit,
             allow_large=args.enumerate_large,
-            threads=threads,
         )
         _emit(to_canonical_json(report_to_dict(rep, g)), args.out)
         return 0
     if cmd == "svc":
-        print(svc(g, threads=threads))
+        print(svc(g))
         return 0
     if cmd == "sec":
-        print(sec(g, threads=threads))
+        print(sec(g))
         return 0
     if cmd == "weakening":
         if args.kind == "vertex":
             sets = weakening_vertex_sets(
-                g, limit=args.limit, allow_large=args.enumerate_large, threads=threads
+                g, limit=args.limit, allow_large=args.enumerate_large
             )
         else:
             sets = weakening_edge_sets(
-                g, limit=args.limit, allow_large=args.enumerate_large, threads=threads
+                g, limit=args.limit, allow_large=args.enumerate_large
             )
         payload = {
             "schema": "svckit-report/1",
@@ -224,7 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, FileNotFoundError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except PreconditionError as exc:
+    except (PreconditionError, EnumerationGuardError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     except GraphInputError as exc:

@@ -4,17 +4,18 @@ of all minimum weakening sets.
 sigma0 (strong vertex connectivity) is the minimum number of vertices
 whose removal leaves a graph that is not strongly connected or has one
 vertex; sigma1 (strong edge connectivity) is the edge analogue. Both are
-computed from unit-capacity max-flow with aggressive pruning: a running
-best value caps every flow, and the vertex case scans sources
-Even-Tarjan style (any minimum cut of size k misses at least one of the
-first k+1 vertices, so that many sources suffice).
+computed from unit-capacity max-flow on one flow network per graph, with
+pruning: a running best value caps every flow, a scan stops as soon as it
+reaches a known lower bound, the vertex case scans sources Even-Tarjan
+style (any minimum cut of size k misses at least one of the first k+1
+vertices, so that many sources suffice), and the edge case follows the
+cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut
+delta+(S) is crossed by some consecutive pair leaving S).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from .graphs import (
     stats,
     underlying,
 )
-from .flow import edge_max_flow, vertex_max_flow
+from .flow import EdgeFlowNetwork, VertexFlowNetwork
 from .scc import is_strongly_connected, scc
 
 
@@ -73,22 +74,6 @@ class EnumerationGuardError(RuntimeError):
     """Enumeration of size-k subsets was refused without explicit opt-in."""
 
 
-class _RunningMin:
-    """Thread-shared monotone minimum used as the pruning cap."""
-
-    def __init__(self, value: int):
-        self.value = value
-        self._lock = threading.Lock()
-
-    def offer(self, v: int) -> None:
-        with self._lock:
-            if v < self.value:
-                self.value = v
-
-    def get(self) -> int:
-        return self.value
-
-
 def _require_strong(g: DirectedGraph) -> None:
     if g.n < 2:
         raise PreconditionError(f"graph must have >= 2 vertices, got {g.n}")
@@ -104,17 +89,13 @@ def local_sigma(g: DirectedGraph, u: int, v: int) -> int:
     if u == v:
         raise GraphInputError("vertices must differ")
     _require_strong(g)
-    return _local_sigma_unchecked(g, u, v)
-
-
-def _local_sigma_unchecked(g: DirectedGraph, u: int, v: int) -> int:
+    net = VertexFlowNetwork(g)
     best = g.n - 1
     for a, b in ((u, v), (v, u)):
-        if g.has_edge(a, b):
-            continue
-        ans = vertex_max_flow(g, a, b, cap=best)
-        if not ans.saturated:
-            best = min(best, ans.value)
+        if not g.has_edge(a, b):
+            ans = net.flow(a, b, cap=best)
+            if not ans.saturated:
+                best = ans.value
     return best
 
 
@@ -135,58 +116,66 @@ def _edge_upper_bound(g: DirectedGraph) -> int:
     )
 
 
-def _pair_directions(g: DirectedGraph, s: int, t: int, cap: _RunningMin) -> None:
-    for a, b in ((s, t), (t, s)):
-        if g.has_edge(a, b):
-            continue
-        ans = vertex_max_flow(g, a, b, cap=cap.get())
-        if not ans.saturated:
-            cap.offer(ans.value)
+def vertex_pair_scan(
+    g: DirectedGraph, upper: int, lower: int
+) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """min(upper, min over scanned pairs of the vertex flow) and the cut of
+    the first pair that attained it (None if no flow went below upper).
+
+    Sources are scanned Even-Tarjan style, 0..best, against every target in
+    both directions (a direction with a direct edge has no separating cut
+    and is skipped); every flow is capped at the running best, and the scan
+    stops as soon as the best reaches ``lower``. ``g`` must be strongly
+    connected.
+    """
+    best, cut = upper, None
+    if best <= lower:
+        return best, cut
+    net = VertexFlowNetwork(g)
+    for s in range(g.n):
+        if s > best:
+            break
+        for t in range(g.n):
+            if t == s:
+                continue
+            for a, b in ((s, t), (t, s)):
+                if g.has_edge(a, b):
+                    continue
+                ans = net.flow(a, b, cap=best)
+                if not ans.saturated:
+                    best, cut = ans.value, ans.cut
+                    if best <= lower:
+                        return best, cut
+    return best, cut
 
 
-def svc(g: DirectedGraph, threads: int = 1) -> int:
+def svc(g: DirectedGraph) -> int:
     """sigma0: strong vertex connectivity. n-1 for the complete
     bidirected graph (one-vertex clause of the definition)."""
     _require_strong(g)
-    cap = _RunningMin(_vertex_upper_bound(g))
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        for s in range(g.n):
-            if s > cap.get():
-                break
-            targets = [t for t in range(g.n) if t != s]
-            if pool is not None:
-                list(pool.map(lambda t: _pair_directions(g, s, t, cap), targets))
-            else:
-                for t in targets:
-                    _pair_directions(g, s, t, cap)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return cap.get()
+    return vertex_pair_scan(g, _vertex_upper_bound(g), 1)[0]
 
 
-def sec(g: DirectedGraph, threads: int = 1) -> int:
-    """sigma1: strong edge connectivity, via a fixed pivot (a minimum
-    directed edge cut separates vertex 0 from some vertex in one
-    direction)."""
+def sec(g: DirectedGraph) -> int:
+    """sigma1: strong edge connectivity, as the minimum edge flow between
+    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0."""
     _require_strong(g)
-    cap = _RunningMin(_edge_upper_bound(g))
+    best = _edge_upper_bound(g)
+    if best <= 1:
+        return best
+    net = EdgeFlowNetwork(g)
+    for v in range(g.n):
+        ans = net.flow(v, (v + 1) % g.n, cap=best)
+        if not ans.saturated:
+            best = ans.value
+            if best <= 1:
+                break
+    return best
 
-    def probe(t: int) -> None:
-        for a, b in ((0, t), (t, 0)):
-            ans = edge_max_flow(g, a, b, cap=cap.get())
-            if not ans.saturated:
-                cap.offer(ans.value)
 
-    targets = list(range(1, g.n))
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(probe, targets))
-    else:
-        for t in targets:
-            probe(t)
-    return cap.get()
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 1:
+        raise GraphInputError(f"limit must be >= 1, got {limit}")
 
 
 def _scc_sizes_after(g: DirectedGraph) -> Tuple[int, ...]:
@@ -198,7 +187,6 @@ def weakening_vertex_sets(
     limit: Optional[int] = None,
     allow_large: bool = False,
     sigma: Optional[int] = None,
-    threads: int = 1,
 ) -> WitnessList:
     """All vertex subsets of size sigma0 whose removal breaks strong
     connectivity (or leaves one vertex), in lexicographic order.
@@ -206,8 +194,9 @@ def weakening_vertex_sets(
     Enumeration costs O(n^sigma) connectivity checks; sigma >= 3 needs
     allow_large=True.
     """
+    _check_limit(limit)
     _require_strong(g)
-    k = svc(g, threads=threads) if sigma is None else sigma
+    k = svc(g) if sigma is None else sigma
     if k >= 3 and not allow_large:
         raise EnumerationGuardError(
             f"sigma0={k}: subset enumeration needs allow_large=True"
@@ -228,12 +217,12 @@ def weakening_edge_sets(
     limit: Optional[int] = None,
     allow_large: bool = False,
     sigma: Optional[int] = None,
-    threads: int = 1,
 ) -> WitnessList:
     """All edge subsets of size sigma1 whose removal breaks strong
     connectivity, in lexicographic order of sorted members."""
+    _check_limit(limit)
     _require_strong(g)
-    k = sec(g, threads=threads) if sigma is None else sigma
+    k = sec(g) if sigma is None else sigma
     if k >= 3 and not allow_large:
         raise EnumerationGuardError(
             f"sigma1={k}: subset enumeration needs allow_large=True"
@@ -249,21 +238,21 @@ def weakening_edge_sets(
     return out
 
 
-def undirected_vertex_connectivity(d: UndirectedGraph, threads: int = 1) -> int:
+def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
     """Classical zeta0, computed as svc of the doubled digraph (the two
     agree whenever every arc has its reverse). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return svc(doubled(d), threads=threads)
+    return svc(doubled(d))
 
 
-def undirected_edge_connectivity(d: UndirectedGraph, threads: int = 1) -> int:
+def undirected_edge_connectivity(d: UndirectedGraph) -> int:
     """Classical zeta1 via sec of the doubled digraph: a minimum directed
     cut of the doubling counts exactly the undirected edges crossing a
     bipartition. Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return sec(doubled(d), threads=threads)
+    return sec(doubled(d))
 
 
 def report(
@@ -271,7 +260,6 @@ def report(
     enumerate_witnesses: bool = False,
     limit: Optional[int] = None,
     allow_large: bool = False,
-    threads: int = 1,
 ) -> ConnectivityReport:
     """One-graph summary: sigma0/sigma1, underlying zeta0/zeta1, witness
     census (when requested) and stats.
@@ -279,6 +267,7 @@ def report(
     A graph that is not strongly connected gets a flagged partial report
     with one sub-report per nontrivial SCC.
     """
+    _check_limit(limit)
     st = stats(g)
     if g.n < 2 or not is_strongly_connected(g):
         flags = ["not-strongly-connected"] if g.n >= 2 else ["degenerate"]
@@ -301,16 +290,16 @@ def report(
                     continue
                 sub, _ = induced(g, comp)
                 rep.component_reports.append(
-                    report(sub, enumerate_witnesses, limit, allow_large, threads)
+                    report(sub, enumerate_witnesses, limit, allow_large)
                 )
                 rep.component_vertices.append(sorted(comp))
         return rep
 
-    s0 = svc(g, threads=threads)
-    s1 = sec(g, threads=threads)
+    s0 = svc(g)
+    s1 = sec(g)
     und = underlying(g)
-    z0 = undirected_vertex_connectivity(und, threads=threads)
-    z1 = undirected_edge_connectivity(und, threads=threads)
+    z0 = undirected_vertex_connectivity(und)
+    z1 = undirected_edge_connectivity(und)
     flags: List[str] = []
     vw: WitnessList = WitnessList()
     ew: WitnessList = WitnessList()
@@ -318,10 +307,10 @@ def report(
     if enumerate_witnesses:
         try:
             vw = weakening_vertex_sets(
-                g, limit=limit, allow_large=allow_large, sigma=s0, threads=threads
+                g, limit=limit, allow_large=allow_large, sigma=s0
             )
             ew = weakening_edge_sets(
-                g, limit=limit, allow_large=allow_large, sigma=s1, threads=threads
+                g, limit=limit, allow_large=allow_large, sigma=s1
             )
             counts = (len(vw), len(ew))
             if vw.capped or ew.capped:

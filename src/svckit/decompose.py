@@ -17,9 +17,9 @@ from .connectivity import (
     WeakeningSet,
     svc,
     undirected_vertex_connectivity,
+    vertex_pair_scan,
     weakening_vertex_sets,
 )
-from .flow import vertex_max_flow
 from .graphs import DirectedGraph, PreconditionError, induced, remove_vertices, underlying
 from .scc import scc
 
@@ -36,22 +36,6 @@ class DecompositionNode:
     children: List["DecompositionNode"] = field(default_factory=list)
     witnesses: Optional[List[WeakeningSet]] = None  # all-witnesses-report mode
     flags: List[str] = field(default_factory=list)
-
-
-def _min_cut_witness(h: DirectedGraph, k: int) -> Tuple[int, ...]:
-    # one minimum weakening vertex set extracted from a flow cut
-    # certificate; used when full enumeration was not requested
-    for s in range(min(h.n, k + 2)):
-        for t in range(h.n):
-            if t == s:
-                continue
-            for a, b in ((s, t), (t, s)):
-                if h.has_edge(a, b):
-                    continue
-                ans = vertex_max_flow(h, a, b, cap=k + 1)
-                if not ans.saturated and ans.value == k:
-                    return tuple(sorted(ans.cut))
-    raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
 
 
 def _build(
@@ -102,7 +86,11 @@ def _build(
         local_members = witnesses[0].members
         sizes = witnesses[0].resulting_scc_sizes
     else:
-        local_members = _min_cut_witness(h, k)
+        # one minimum weakening vertex set from a flow cut certificate;
+        # every flow is >= k, so the first one below k + 1 certifies k
+        value, local_members = vertex_pair_scan(h, k + 1, k)
+        if value != k:
+            raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
         h_check, _ = remove_vertices(h, local_members)
         sizes = tuple(
             sorted((len(c) for c in scc(h_check).components), reverse=True)

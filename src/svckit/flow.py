@@ -2,6 +2,12 @@
 internally-vertex-disjoint paths between a vertex pair, with a minimum-cut
 certificate and an optional early-exit cap for all-pairs pruning.
 
+A graph's flow network is built once (``VertexFlowNetwork``,
+``EdgeFlowNetwork``) together with a template of its capacities; every
+flow starts from a fresh copy of the template, so any number of pairs can
+be run on one network. ``vertex_max_flow`` and ``edge_max_flow`` are
+one-shot wrappers over these networks.
+
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc) so the flow value counts internally
 disjoint paths, which is what Menger-style vertex cuts require.
@@ -9,7 +15,6 @@ disjoint paths, which is what Menger-style vertex cuts require.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -31,151 +36,146 @@ class FlowAnswer:
     saturated: bool
 
 
-class _Dinic:
-    """Blocking-flow max-flow on integer capacities, array-backed."""
+class _Network:
+    """Fixed arc structure plus template capacities. Arc ``2i`` is a
+    forward arc and ``2i + 1`` its residual reverse (template capacity 0)."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: List[List[int]] = [[] for _ in range(n)]
+    def __init__(self, size: int):
+        self.size = size
+        self.head: List[List[int]] = [[] for _ in range(size)]
         self.to: List[int] = []
-        self.cap: List[int] = []
+        self.template: List[int] = []
 
-    def add_edge(self, u: int, v: int, c: int) -> int:
+    def _add_arc(self, u: int, v: int, c: int) -> None:
         eid = len(self.to)
         self.head[u].append(eid)
         self.to.append(v)
-        self.cap.append(c)
+        self.template.append(c)
         self.head[v].append(eid + 1)
         self.to.append(u)
-        self.cap.append(0)
-        return eid
+        self.template.append(0)
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    queue.append(v)
-        return self.level[t] >= 0
-
-    def _augment(self, s: int, t: int, it: List[int]) -> int:
-        # iterative DFS for one augmenting path in the level graph
-        # (paths in the split graph can exceed Python's recursion limit)
-        path: List[int] = []  # edge ids along the current path
-        u = s
-        while True:
-            if u == t:
-                pushed = min(self.cap[eid] for eid in path)
-                for eid in path:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                return pushed
-            head_u = self.head[u]
-            advanced = False
-            while it[u] < len(head_u):
-                eid = head_u[it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
-                continue
-            if not path:
-                return 0
-            self.level[u] = -1  # dead end; prune
-            eid = path.pop()
-            u = self.to[eid ^ 1]
-            it[u] += 1
-
-    def max_flow(self, s: int, t: int, cap: Optional[int] = None) -> Tuple[int, bool]:
-        """Returns (value, saturated). Stops early once value reaches cap."""
+    def _max_flow(
+        self, cap: List[int], s: int, t: int, limit: Optional[int]
+    ) -> Tuple[int, Optional[List[int]]]:
+        """Augment one unit at a time along a shortest residual path
+        (capacities are integral), stopping at ``limit``. Returns
+        (value, None) when the limit was reached, else (value, parent)
+        where ``parent[v] != -1`` marks the vertices reachable from s in
+        the final residual network."""
+        head, to, size = self.head, self.to, self.size
         flow = 0
-        if cap is not None and flow >= cap:
-            return cap, True
-        while self._bfs(s, t):
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, it)
-                if pushed == 0:
+        while True:
+            if limit is not None and flow >= limit:
+                return limit, None
+            parent = [-1] * size
+            parent[s] = -2
+            queue = [s]
+            found = False
+            for u in queue:
+                for eid in head[u]:
+                    if cap[eid]:
+                        v = to[eid]
+                        if parent[v] == -1:
+                            parent[v] = eid
+                            if v == t:
+                                found = True
+                                break
+                            queue.append(v)
+                if found:
                     break
-                flow += pushed
-                if cap is not None and flow >= cap:
-                    return cap, True
-        return flow, False
+            if not found:
+                return flow, parent
+            v = t
+            while v != s:
+                eid = parent[v]
+                cap[eid] -= 1
+                cap[eid ^ 1] += 1
+                v = to[eid ^ 1]
+            flow += 1
 
-    def residual_reachable(self, s: int) -> List[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+
+class VertexFlowNetwork(_Network):
+    """Split network of ``g``: vertex w becomes 2w (in) and 2w+1 (out),
+    joined by arc ``2w`` of capacity 1; each edge (u, v) becomes
+    2u+1 -> 2v with capacity n, which keeps every minimum cut on the
+    internal arcs."""
+
+    def __init__(self, g: DirectedGraph):
+        super().__init__(2 * g.n)
+        self.g = g
+        n = g.n
+        for w in range(n):
+            self._add_arc(2 * w, 2 * w + 1, 1)
+        for u, v in g.sorted_edges():
+            self._add_arc(2 * u + 1, 2 * v, n)
+
+    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
+        """Maximum number of internally-vertex-disjoint s->t paths.
+
+        Requires that the edge (s, t) is absent; with a direct edge no
+        separating vertex cut exists and the quantity is undefined.
+        """
+        g = self.g
+        _check_pair(g, s, t)
+        if g.has_edge(s, t):
+            raise GraphInputError(
+                f"edge ({s}, {t}) present: no separating vertex cut exists"
+            )
+        caps = self.template[:]
+        caps[2 * s] = caps[2 * t] = g.n  # internal arcs of s and t
+        value, parent = self._max_flow(caps, 2 * s + 1, 2 * t, cap)
+        if parent is None:
+            return FlowAnswer(value=value, cut=(), saturated=True)
+        cut = tuple(
+            w
+            for w in range(g.n)
+            if w != s and w != t and parent[2 * w] != -1 and parent[2 * w + 1] == -1
+        )
+        return FlowAnswer(value=value, cut=cut, saturated=False)
+
+
+class EdgeFlowNetwork(_Network):
+    """Arc network of ``g``: one arc of capacity 1 per edge, in sorted
+    edge order."""
+
+    def __init__(self, g: DirectedGraph):
+        super().__init__(g.n)
+        self.g = g
+        self.edges = g.sorted_edges()
+        for u, v in self.edges:
+            self._add_arc(u, v, 1)
+
+    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
+        """Maximum number of pairwise edge-disjoint s->t paths.
+
+        The cut is the set of original edges crossing the residual-reachable
+        frontier from s (all saturated, by max-flow/min-cut).
+        """
+        _check_pair(self.g, s, t)
+        value, parent = self._max_flow(self.template[:], s, t, cap)
+        if parent is None:
+            return FlowAnswer(value=value, cut=(), saturated=True)
+        cut = tuple(
+            (u, v) for u, v in self.edges if parent[u] != -1 and parent[v] == -1
+        )
+        return FlowAnswer(value=value, cut=cut, saturated=False)
 
 
 def edge_max_flow(
     g: DirectedGraph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
-    """Maximum number of pairwise edge-disjoint s->t paths.
-
-    The cut is the set of original edges crossing the residual-reachable
-    frontier from s (all saturated, by max-flow/min-cut).
-    """
-    _check_pair(g, s, t)
-    dinic = _Dinic(g.n)
-    arcs = []
-    for u, v in g.sorted_edges():
-        arcs.append(((u, v), dinic.add_edge(u, v, 1)))
-    value, saturated = dinic.max_flow(s, t, cap)
-    if saturated:
-        return FlowAnswer(value=value, cut=(), saturated=True)
-    seen = dinic.residual_reachable(s)
-    cut = tuple(e for e, _ in arcs if seen[e[0]] and not seen[e[1]])
-    return FlowAnswer(value=value, cut=cut, saturated=False)
+    """Maximum number of pairwise edge-disjoint s->t paths (one-shot
+    ``EdgeFlowNetwork(g).flow``)."""
+    return EdgeFlowNetwork(g).flow(s, t, cap)
 
 
 def vertex_max_flow(
     g: DirectedGraph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
-    """Maximum number of internally-vertex-disjoint s->t paths.
-
-    Requires that the edge (s, t) is absent; with a direct edge no
-    separating vertex cut exists and the quantity is undefined.
-    """
-    _check_pair(g, s, t)
-    if g.has_edge(s, t):
-        raise GraphInputError(
-            f"edge ({s}, {t}) present: no separating vertex cut exists"
-        )
-    n = g.n
-    # split: vertex w -> nodes 2w (in) and 2w+1 (out)
-    dinic = _Dinic(2 * n)
-    for w in range(n):
-        c = n if w in (s, t) else 1
-        dinic.add_edge(2 * w, 2 * w + 1, c)
-    for u, v in g.sorted_edges():
-        # large capacity keeps the minimum cut on split arcs only
-        dinic.add_edge(2 * u + 1, 2 * v, n)
-    value, saturated = dinic.max_flow(2 * s + 1, 2 * t, cap)
-    if saturated:
-        return FlowAnswer(value=value, cut=(), saturated=True)
-    seen = dinic.residual_reachable(2 * s + 1)
-    cut = tuple(
-        w for w in range(n) if w not in (s, t) and seen[2 * w] and not seen[2 * w + 1]
-    )
-    return FlowAnswer(value=value, cut=cut, saturated=False)
+    """Maximum number of internally-vertex-disjoint s->t paths (one-shot
+    ``VertexFlowNetwork(g).flow``)."""
+    return VertexFlowNetwork(g).flow(s, t, cap)
 
 
 def _check_pair(g: DirectedGraph, s: int, t: int) -> None:

@@ -33,7 +33,7 @@ class DirectedGraph:
     ``vertex_labels`` keeps external names for human-readable reports.
     """
 
-    __slots__ = ("n", "edges", "vertex_labels", "_succ", "_pred", "_edgeset")
+    __slots__ = ("n", "edges", "vertex_labels", "_succ", "_pred")
 
     def __init__(
         self,
@@ -71,7 +71,6 @@ class DirectedGraph:
             lst.sort()
         self._succ = succ
         self._pred = pred
-        self._edgeset = edgeset
 
     @property
     def m(self) -> int:
@@ -84,7 +83,7 @@ class DirectedGraph:
         return self._pred[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edgeset
+        return (u, v) in self.edges
 
     def label(self, u: int) -> str:
         if self.vertex_labels is not None and u in self.vertex_labels:

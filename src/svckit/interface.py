@@ -34,7 +34,6 @@ class IngestOptions:
     format: str = "auto"          # edgelist | graphml | auto
     delimiter: Optional[str] = None   # None: any whitespace
     has_header: bool = False
-    drop_weights: bool = True     # provenance only; always true
 
 
 @dataclass

@@ -217,9 +217,6 @@ def test_performance_sanity():
     s1 = sk.sec(g)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"sigma0+sigma1 took {elapsed:.1f}s (budget 300s)"
-    # results independent of worker count
-    assert sk.sec(g, threads=4) == s1
-    assert sk.svc(g, threads=4) == s0
     _ok("performance-sanity", f"n=500 sigma0={s0} sigma1={s1} in {elapsed:.1f}s")
 
 

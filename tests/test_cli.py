@@ -22,6 +22,15 @@ def gamma13_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture()
+def dk5_file(tmp_path):
+    # sigma0 = sigma1 = 4: enumeration needs --enumerate-large
+    f = tmp_path / "dk5.edges"
+    r = run_cli(["generate", "dk", "--n", "5", "--out", str(f)])
+    assert r.returncode == 0
+    return str(f)
+
+
 class TestGenerate:
     def test_gamma_to_stdout(self):
         r = run_cli(["generate", "gamma", "--a", "1", "--b", "3"])
@@ -86,6 +95,23 @@ class TestWeakening:
         d = json.loads(r.stdout)
         assert d["count"] == 2 and d["capped"]
 
+    def test_limit_below_one_is_usage_error(self, gamma13_file):
+        for limit in ("0", "-3"):
+            for args in (
+                ["weakening", gamma13_file, "--kind", "vertex", "--limit", limit],
+                ["weakening", gamma13_file, "--kind", "edge", "--limit", limit],
+                ["analyze", gamma13_file, "--enumerate", "--limit", limit],
+            ):
+                r = run_cli(args)
+                assert r.returncode == 1, args
+                assert r.stdout == "" and "limit" in r.stderr
+
+    def test_enumeration_guard_is_precondition_error(self, dk5_file):
+        r = run_cli(["weakening", dk5_file, "--kind", "vertex"])
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
+
 
 class TestIterate:
     def test_traces_printed(self, gamma13_file, tmp_path):
@@ -102,6 +128,12 @@ class TestExportDot:
         r = run_cli(["export-dot", gamma13_file, "--highlight-first-witness"])
         assert r.returncode == 0
         assert "fillcolor=orangered" in r.stdout
+
+    def test_highlight_guarded_is_precondition_error(self, dk5_file):
+        r = run_cli(["export-dot", dk5_file, "--highlight-first-witness"])
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
 
 
 class TestErrorHandling:
@@ -125,6 +157,8 @@ class TestInProcessEntrypoint:
 
 
 def test_threads_option_does_not_change_output(gamma13_file):
+    # --threads is accepted and ignored, so existing command lines still work
     a = run_cli(["analyze", gamma13_file, "--enumerate", "--threads", "1"])
     b = run_cli(["analyze", gamma13_file, "--enumerate", "--threads", "4"])
+    assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout

@@ -5,7 +5,7 @@ import pytest
 import svckit as sk
 from svckit.connectivity import EnumerationGuardError
 from svckit.graphs import GraphInputError, PreconditionError
-from svckit.oracle import oracle_local_sigma, oracle_svc, oracle_zeta0
+from svckit.oracle import oracle_local_sigma, oracle_sec, oracle_svc, oracle_zeta0
 
 from helpers import strongly_connected_corpus
 
@@ -66,10 +66,9 @@ class TestSvcSec:
             )
             assert sk.sec(g) <= bound
 
-    def test_threads_do_not_change_results(self):
-        for g, _ in strongly_connected_corpus(10, n_lo=4, n_hi=8):
-            assert sk.svc(g, threads=1) == sk.svc(g, threads=4)
-            assert sk.sec(g, threads=1) == sk.sec(g, threads=4)
+    def test_sec_matches_oracle(self):
+        for g, seed in strongly_connected_corpus(40):
+            assert sk.sec(g) == oracle_sec(g), f"seed={seed}"
 
 
 class TestWeakeningSets:
@@ -97,6 +96,14 @@ class TestWeakeningSets:
     def test_limit_and_capped_flag(self):
         sets = sk.weakening_vertex_sets(sk.directed_cycle(6), limit=2)
         assert len(sets) == 2 and sets.capped
+
+    def test_limit_below_one_rejected(self):
+        g = sk.directed_cycle(6)
+        for limit in (0, -3):
+            with pytest.raises(GraphInputError):
+                sk.weakening_vertex_sets(g, limit=limit)
+            with pytest.raises(GraphInputError):
+                sk.weakening_edge_sets(g, limit=limit)
 
     def test_lexicographic_order(self):
         g = sk.gamma(sk.FamilyParams(2, 3))
@@ -152,6 +159,56 @@ class TestUndirectedConnectivity:
         for a, b in [(1, 3), (2, 3), (1, 4), (3, 4)]:
             g = sk.gamma(sk.FamilyParams(a, b))
             assert sk.undirected_vertex_connectivity(sk.underlying(g)) == b
+
+
+def _first_strong(n, p, seed=0):
+    while not sk.is_strongly_connected(g := sk.random_digraph(n, p, seed)):
+        seed += 1
+    return g
+
+
+def _bridged(n, p, k, seed):
+    # two random halves joined by k arcs each way: a sparse cut below the
+    # minimum degree, so the degree bound alone cannot give the answer
+    import random
+
+    rng = random.Random(seed)
+    h = n // 2
+    arcs = {
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and (u < h) == (v < h) and rng.random() < p
+    }
+    for lo, hi in (((0, h), (h, n)), ((h, n), (0, h))):
+        crossing = set()
+        while len(crossing) < k:
+            crossing.add((rng.randrange(*lo), rng.randrange(*hi)))
+        arcs |= crossing
+    return sk.DirectedGraph(n, arcs)
+
+
+class TestNetworkxDifferential:
+    """Edge connectivities past the oracle's n <= 12 limit."""
+
+    def test_edge_connectivity_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            _first_strong(100, 0.06),
+            _first_strong(200, 0.04),
+            _first_strong(300, 0.03),
+            _bridged(120, 0.3, 3, 4),
+            _bridged(200, 0.2, 2, 5),
+        ]
+        for g in graphs:
+            assert sk.is_strongly_connected(g)
+            dg = nx.DiGraph()
+            dg.add_nodes_from(range(g.n))
+            dg.add_edges_from(g.edges)
+            assert sk.sec(g) == nx.edge_connectivity(dg), repr(g)
+            assert sk.undirected_edge_connectivity(
+                sk.underlying(g)
+            ) == nx.edge_connectivity(dg.to_undirected()), repr(g)
 
 
 class TestPropositionOne:

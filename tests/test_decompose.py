@@ -128,3 +128,17 @@ def test_all_witnesses_report_mode():
     assert [w.members for w in tree.witnesses] == [(v,) for v in range(5)]
     default = sk.iterate(g, max_depth=1)
     assert default.witnesses is None and default.witness_count == 5
+
+
+def test_guarded_witness_frozen():
+    # sigma0 = 3 without enumerate_large: the chosen set comes from the
+    # first flow cut of size sigma0, not from enumeration. Expected values
+    # were recorded from the per-pair flow implementation this replaced.
+    g = sk.random_digraph(16, 0.5, 0)
+    tree = sk.iterate(g, max_depth=3)
+    assert "witnesses-not-enumerated" in tree.flags
+    assert tree.sigma0 == 3
+    assert tree.chosen_set == sk.WeakeningSet("vertex", (3, 8, 9), (12, 1))
+    deep = tree.children[0].children[0]
+    assert deep.depth == 2 and "witnesses-not-enumerated" in deep.flags
+    assert deep.chosen_set == sk.WeakeningSet("vertex", (4, 6, 14), (5, 1))

@@ -1,6 +1,7 @@
 import pytest
 
 import svckit as sk
+from svckit.flow import EdgeFlowNetwork, VertexFlowNetwork
 from svckit.graphs import GraphInputError
 
 from helpers import brute_min_edge_cut, brute_min_vertex_cut, seeded_random_graphs
@@ -155,3 +156,30 @@ class TestMonotonicityAndCap:
         g = sk.directed_cycle(4)
         ans = sk.edge_max_flow(g, 0, 2, cap=0)
         assert ans.saturated and ans.value == 0
+
+
+class TestNetworkReuse:
+    def test_back_to_back_flows_match_one_shot(self):
+        # one network per graph and mode, every ordered pair in a row with
+        # caps 1, 2 and None interleaved, against a fresh one-shot network
+        caps = (1, 2, None)
+        corpus = [
+            (sk.random_digraph(n, p, seed), seed)
+            for n, p, seed in [(10, 0.3, 1), (16, 0.2, 2), (22, 0.15, 3), (30, 0.1, 4)]
+        ] + seeded_random_graphs(6, n_lo=5, n_hi=10, probs=(0.3, 0.6))
+        for g, seed in corpus:
+            vnet, enet = VertexFlowNetwork(g), EdgeFlowNetwork(g)
+            i = 0
+            for s in range(g.n):
+                for t in range(g.n):
+                    if s == t:
+                        continue
+                    cap = caps[i % len(caps)]
+                    i += 1
+                    assert enet.flow(s, t, cap) == sk.edge_max_flow(g, s, t, cap), (
+                        f"seed={seed} edge ({s},{t}) cap={cap}"
+                    )
+                    if not g.has_edge(s, t):
+                        assert vnet.flow(s, t, cap) == sk.vertex_max_flow(
+                            g, s, t, cap
+                        ), f"seed={seed} vertex ({s},{t}) cap={cap}"
