@@ -108,6 +108,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("export-dot", help="DOT rendering of a graph file")
     p.add_argument("file")
     p.add_argument("--highlight-first-witness", action="store_true")
+    p.add_argument("--enumerate-large", action="store_true",
+                   help="allow the witness search even when sigma0 >= 3")
     add_common(p)
 
     return parser
@@ -186,7 +188,9 @@ def _run(args) -> int:
     if cmd == "export-dot":
         highlight = None
         if args.highlight_first_witness:
-            sets = weakening_vertex_sets(g, limit=1)
+            sets = weakening_vertex_sets(
+                g, limit=1, allow_large=args.enumerate_large
+            )
             highlight = sets[0] if sets else None
         sys.stdout.write(export_dot(g, highlight))
         return 0
@@ -216,7 +220,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, FileNotFoundError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (PreconditionError, EnumerationGuardError) as exc:
+    except EnumerationGuardError as exc:
+        # the library's message names its keyword; name the CLI flag
+        message = str(exc).replace("allow_large=True", "--enumerate-large")
+        sys.stderr.write(f"error: {message}\n")
+        return EXIT_PRECONDITION
+    except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     except GraphInputError as exc:

@@ -11,6 +11,16 @@ style (any minimum cut of size k misses at least one of the first k+1
 vertices, so that many sources suffice), and the edge case follows the
 cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut
 delta+(S) is crossed by some consecutive pair leaving S).
+
+Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
+time: the strong articulation points of G - P are the non-trivial
+dominators of G - P and of its reverse from one root (Italiano, Laura &
+Santaroni 2012), computed without rebuilding the graph, and each one
+above max(P) completes P to a witness. Edge sets use the edge-split
+graph, whose midpoint articulation points are the strong bridges. This
+is the k = 2 reduction {v} + SAP(G - v) of Georgiadis, Italiano, Laura
+& Parotsidis (2015), applied to every prefix: C(n, k-1) dominator
+passes instead of C(n, k) graph builds and SCC checks.
 """
 
 from __future__ import annotations
@@ -182,6 +192,167 @@ def _scc_sizes_after(g: DirectedGraph) -> Tuple[int, ...]:
     return tuple(sorted((len(c) for c in scc(g).components), reverse=True))
 
 
+def _postorder(root: int, succ: Sequence[Sequence[int]], dead: bytearray) -> List[int]:
+    # iterative DFS over the nodes not marked in `dead`
+    seen = bytearray(dead)
+    seen[root] = 1
+    order: List[int] = []
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append((w, iter(succ[w])))
+                break
+        else:
+            stack.pop()
+            order.append(v)
+    return order
+
+
+def _dominators(
+    root: int,
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    dead: bytearray,
+    size: int,
+) -> Optional[set]:
+    """Non-trivial dominators other than ``root`` in the flow graph of the
+    live nodes from ``root`` (iterative Cooper-Harvey-Kennedy on a reverse
+    postorder), or None if some of the ``size`` live nodes is unreachable."""
+    order = _postorder(root, succ, dead)
+    if len(order) < size:
+        return None
+    po = [0] * len(succ)
+    for i, v in enumerate(order):
+        po[v] = i
+    idom = [-1] * len(succ)  # -1: dead or not yet processed
+    idom[root] = root
+    rpo = order[-2::-1]
+    changed = True
+    while changed:
+        changed = False
+        for v in rpo:
+            new = -1
+            for p in pred[v]:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while po[a] < po[new]:
+                        a = idom[a]
+                    while po[new] < po[a]:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    doms = set(idom)
+    doms.discard(-1)
+    doms.discard(root)
+    return doms
+
+
+def _cut_points(
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    dead: bytearray,
+    size: int,
+    root: int,
+    lo: int,
+) -> Optional[List[int]]:
+    """The nodes >= ``lo`` whose removal leaves the live subgraph H
+    (``size`` >= 3 nodes) not strongly connected, ascending, or None if H
+    is not strongly connected. For s != root these are the non-trivial
+    dominators of H and of its reverse from root (Italiano, Laura &
+    Santaroni 2012); root itself, when >= lo, is checked by one
+    reachability pass in each direction."""
+    fwd = _dominators(root, succ, pred, dead, size)
+    if fwd is None:
+        return None
+    rev = _dominators(root, pred, succ, dead, size)
+    if rev is None:
+        return None
+    cuts = fwd | rev
+    if root >= lo:
+        dead[root] = 1
+        x = next(v for v in range(len(dead)) if not dead[v])
+        if (
+            len(_postorder(x, succ, dead)) < size - 1
+            or len(_postorder(x, pred, dead)) < size - 1
+        ):
+            cuts.add(root)
+        dead[root] = 0
+    return sorted(c for c in cuts if c >= lo)
+
+
+def _weakening_sets(
+    g: DirectedGraph, kind: str, k: int, limit: Optional[int]
+) -> WitnessList:
+    """Every k-subset W of vertices (or of sorted edges) whose removal
+    leaves a graph with one vertex or one that is not strongly connected,
+    in lexicographic order.
+
+    W is such a set exactly when its last member s breaks the strong
+    connectivity of g - (W - {s}), so each (k-1)-prefix P costs one cut
+    point computation on g - P, and every cut point above max(P) extends
+    P to a witness. Edges are handled as the midpoints n + i of the edge
+    split graph u -> n + i -> v, rooted at vertex 0, which is never
+    removed. A remainder that is not strongly connected, or has fewer
+    than 3 nodes, is checked subset by subset.
+    """
+    out = WitnessList()
+    if k == 0:
+        return out
+    if kind == "vertex":
+        items: Sequence = range(g.n)
+        offset = 0
+        succ = [g.successors(v) for v in range(g.n)]
+        pred = [g.predecessors(v) for v in range(g.n)]
+    else:
+        items = g.sorted_edges()
+        offset = g.n
+        succ = [[] for _ in range(g.n)] + [[v] for _, v in items]
+        pred = [[] for _ in range(g.n)] + [[u] for u, _ in items]
+        for i, (u, v) in enumerate(items):
+            succ[u].append(g.n + i)
+            pred[v].append(g.n + i)
+    size = len(succ) - (k - 1)
+    for prefix in itertools.combinations(range(len(items)), k - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        if start >= len(items):
+            continue
+        cuts = None
+        if size >= 3:
+            dead = bytearray(len(succ))
+            for i in prefix:
+                dead[offset + i] = 1
+            # root at a live node that is not a candidate when there is one
+            lo = offset + start
+            root = next((v for v in range(lo) if not dead[v]), lo)
+            cuts = _cut_points(succ, pred, dead, size, root, lo)
+        if cuts is None:
+            candidates: Sequence[int] = range(start, len(items))
+        else:
+            candidates = [c - offset for c in cuts]
+        for s in candidates:
+            members = tuple(items[i] for i in prefix + (s,))
+            if kind == "vertex":
+                h = remove_vertices(g, members)[0]
+            else:
+                h = remove_edges(g, members)
+            if cuts is None and h.n != 1 and is_strongly_connected(h):
+                continue
+            out.append(WeakeningSet(kind, members, _scc_sizes_after(h)))
+            if limit is not None and len(out) >= limit:
+                out.capped = True
+                return out
+    return out
+
+
 def weakening_vertex_sets(
     g: DirectedGraph,
     limit: Optional[int] = None,
@@ -191,8 +362,10 @@ def weakening_vertex_sets(
     """All vertex subsets of size sigma0 whose removal breaks strong
     connectivity (or leaves one vertex), in lexicographic order.
 
-    Enumeration costs O(n^sigma) connectivity checks; sigma >= 3 needs
-    allow_large=True.
+    Enumeration costs C(n, sigma0 - 1) strong articulation point passes
+    (dominator trees of g - P and its reverse, O(m) each), one per
+    (sigma0 - 1)-subset P; sigma >= 3 needs allow_large=True. ``sigma``
+    overrides the size enumerated.
     """
     _check_limit(limit)
     _require_strong(g)
@@ -201,15 +374,7 @@ def weakening_vertex_sets(
         raise EnumerationGuardError(
             f"sigma0={k}: subset enumeration needs allow_large=True"
         )
-    out = WitnessList()
-    for subset in itertools.combinations(range(g.n), k):
-        h, _ = remove_vertices(g, subset)
-        if h.n == 1 or not is_strongly_connected(h):
-            out.append(WeakeningSet("vertex", subset, _scc_sizes_after(h)))
-            if limit is not None and len(out) >= limit:
-                out.capped = True
-                break
-    return out
+    return _weakening_sets(g, "vertex", k, limit)
 
 
 def weakening_edge_sets(
@@ -219,7 +384,13 @@ def weakening_edge_sets(
     sigma: Optional[int] = None,
 ) -> WitnessList:
     """All edge subsets of size sigma1 whose removal breaks strong
-    connectivity, in lexicographic order of sorted members."""
+    connectivity, in lexicographic order of sorted members.
+
+    Enumeration costs C(m, sigma1 - 1) strong bridge passes (dominator
+    trees of the edge split graph minus P, O(m) each), one per
+    (sigma1 - 1)-subset P of edges; sigma >= 3 needs allow_large=True.
+    ``sigma`` overrides the size enumerated.
+    """
     _check_limit(limit)
     _require_strong(g)
     k = sec(g) if sigma is None else sigma
@@ -227,15 +398,7 @@ def weakening_edge_sets(
         raise EnumerationGuardError(
             f"sigma1={k}: subset enumeration needs allow_large=True"
         )
-    out = WitnessList()
-    for subset in itertools.combinations(g.sorted_edges(), k):
-        h = remove_edges(g, subset)
-        if not is_strongly_connected(h):
-            out.append(WeakeningSet("edge", subset, _scc_sizes_after(h)))
-            if limit is not None and len(out) >= limit:
-                out.capped = True
-                break
-    return out
+    return _weakening_sets(g, "edge", k, limit)
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:

@@ -84,17 +84,16 @@ def _build(
                 for w in witnesses
             ]
         local_members = witnesses[0].members
-        sizes = witnesses[0].resulting_scc_sizes
     else:
         # one minimum weakening vertex set from a flow cut certificate;
         # every flow is >= k, so the first one below k + 1 certifies k
         value, local_members = vertex_pair_scan(h, k + 1, k)
         if value != k:
             raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
-        h_check, _ = remove_vertices(h, local_members)
-        sizes = tuple(
-            sorted((len(c) for c in scc(h_check).components), reverse=True)
-        )
+    h2, mapping2 = remove_vertices(h, local_members)
+    back2 = {new: back[old] for old, new in mapping2.items()}
+    parts = scc(h2).components
+    sizes = tuple(sorted((len(c) for c in parts), reverse=True))
     node.chosen_set = WeakeningSet(
         kind="vertex",
         members=tuple(sorted(back[i] for i in local_members)),
@@ -102,9 +101,6 @@ def _build(
     )
     node.condensation_sizes = sizes
 
-    h2, mapping2 = remove_vertices(h, local_members)
-    back2 = {new: back[old] for old, new in mapping2.items()}
-    parts = scc(h2).components
     # deterministic child order: by descending size then smallest orig id
     comps = [tuple(sorted(back2[v] for v in comp)) for comp in parts if len(comp) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))

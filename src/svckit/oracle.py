@@ -142,6 +142,58 @@ def oracle_sec_by_subsets(g: DirectedGraph) -> int:
     return m
 
 
+def _scc_sizes_on(
+    n: int, edges: Iterable[Tuple[int, int]], members: int
+) -> Tuple[int, ...]:
+    # SCC sizes of the subgraph induced by `members`, by mutual reachability
+    sub_edges = [
+        (u, v) for u, v in edges if (members >> u) & 1 and (members >> v) & 1
+    ]
+    reach = _closure(n, sub_edges)
+    left = members
+    sizes = []
+    while left:
+        u = (left & -left).bit_length() - 1
+        comp = 0
+        for v in range(n):
+            if (left >> v) & 1 and (reach[u] >> v) & 1 and (reach[v] >> u) & 1:
+                comp |= 1 << v
+        sizes.append(bin(comp).count("1"))
+        left &= ~comp
+    return tuple(sorted(sizes, reverse=True))
+
+
+def oracle_weakening_sets(
+    g: DirectedGraph, kind: str
+) -> List[Tuple[tuple, Tuple[int, ...]]]:
+    """Every minimum weakening set of ``kind`` ("vertex" or "edge") as a
+    (members, SCC sizes after removal, descending) pair, in lexicographic
+    order: all subsets of size oracle_svc / oracle_sec, each removed and
+    checked literally (a vertex set also counts when one vertex is left)."""
+    _guard(g)
+    n = g.n
+    full = (1 << n) - 1
+    out = []
+    if kind == "vertex":
+        k = oracle_svc(g)
+        for subset in itertools.combinations(range(n), k):
+            mask = full
+            for v in subset:
+                mask ^= 1 << v
+            if bin(mask).count("1") == 1 or not _strong_on(n, g.edges, mask):
+                out.append((subset, _scc_sizes_on(n, g.edges, mask)))
+        return out
+    k = oracle_sec(g)
+    edges = sorted(g.edges)
+    if comb(len(edges), k) > _MAX_SUBSETS:
+        raise PreconditionError(f"oracle size guard: C({len(edges)},{k}) too large")
+    for subset in itertools.combinations(edges, k):
+        remaining = g.edges - set(subset)
+        if not _strong_on(n, remaining, full):
+            out.append((subset, _scc_sizes_on(n, remaining, full)))
+    return out
+
+
 def oracle_local_sigma(g: DirectedGraph, u: int, v: int) -> int:
     """Minimum number of other vertices to remove so that u and v land in
     different SCCs; n-1 when no such set exists."""

@@ -1,5 +1,7 @@
-"""Shared test utilities: seeded graph corpora and tiny brute-force
-reachability helpers kept independent of the package's flow/scc code."""
+"""Shared test utilities: seeded graph corpora, tiny brute-force
+reachability helpers kept independent of the package's flow/scc code, and
+the literal subset loop that weakening-set enumeration is compared with
+past the oracle's size limit."""
 
 from __future__ import annotations
 
@@ -77,3 +79,23 @@ def brute_min_vertex_cut(g: sk.DirectedGraph, s: int, t: int) -> int:
             if not reaches(g.n, remaining, s, t):
                 return k
     return g.n - 1
+
+
+def reference_weakening_sets(g: sk.DirectedGraph, kind: str, k: int, limit=None):
+    """Literal subset loop, the large-n reference for weakening_*_sets:
+    every k-subset in lexicographic order, removed from a rebuilt graph
+    and checked with one SCC pass. Returns ([(members, scc sizes)],
+    capped)."""
+    items = range(g.n) if kind == "vertex" else g.sorted_edges()
+    out = []
+    for subset in itertools.combinations(items, k):
+        if kind == "vertex":
+            h, _ = sk.remove_vertices(g, subset)
+        else:
+            h = sk.remove_edges(g, subset)
+        if h.n == 1 or not sk.is_strongly_connected(h):
+            sizes = sorted((len(c) for c in sk.scc(h).components), reverse=True)
+            out.append((subset, tuple(sizes)))
+            if limit is not None and len(out) >= limit:
+                return out, True
+    return out, False

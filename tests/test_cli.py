@@ -111,6 +111,7 @@ class TestWeakening:
         assert r.returncode == 3
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.stderr
+        assert "--enumerate-large" in r.stderr and "allow_large" not in r.stderr
 
 
 class TestIterate:
@@ -134,6 +135,14 @@ class TestExportDot:
         assert r.returncode == 3
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.stderr
+        assert "--enumerate-large" in r.stderr and "allow_large" not in r.stderr
+
+    def test_highlight_enumerate_large(self, dk5_file):
+        r = run_cli(
+            ["export-dot", dk5_file, "--highlight-first-witness", "--enumerate-large"]
+        )
+        assert r.returncode == 0
+        assert "fillcolor=orangered" in r.stdout
 
 
 class TestErrorHandling:

@@ -1,13 +1,20 @@
 import itertools
+import math
 
 import pytest
 
 import svckit as sk
 from svckit.connectivity import EnumerationGuardError
 from svckit.graphs import GraphInputError, PreconditionError
-from svckit.oracle import oracle_local_sigma, oracle_sec, oracle_svc, oracle_zeta0
+from svckit.oracle import (
+    oracle_local_sigma,
+    oracle_sec,
+    oracle_svc,
+    oracle_weakening_sets,
+    oracle_zeta0,
+)
 
-from helpers import strongly_connected_corpus
+from helpers import reference_weakening_sets, strongly_connected_corpus
 
 
 class TestLocalSigma:
@@ -134,6 +141,79 @@ class TestWeakeningSets:
                 weakening = h.n == 1 or not sk.is_strongly_connected(h)
                 assert weakening == (subset in returned)
 
+    def test_returned_iff_weakening_exhaustive_edges(self):
+        for g in [
+            sk.directed_cycle(9),
+            sk.gamma(sk.FamilyParams(1, 3)),
+            sk.gamma(sk.FamilyParams(2, 3)),
+        ]:
+            k = sk.sec(g)
+            returned = {w.members for w in sk.weakening_edge_sets(g)}
+            for subset in itertools.combinations(g.sorted_edges(), k):
+                weakening = not sk.is_strongly_connected(sk.remove_edges(g, subset))
+                assert weakening == (subset in returned)
+
+    def test_matches_oracle(self):
+        # same members, order, SCC sizes and capped flag as the literal
+        # bitmask enumeration, for both kinds and several limits
+        graphs = [g for g, _ in strongly_connected_corpus(40)]
+        graphs += [
+            sk.gamma(sk.FamilyParams(a, b))
+            for b in range(1, 5)
+            for a in range(1, b + 1)
+        ]
+        graphs = [g for g in graphs if g.n <= 12]  # gamma(a<4, 4) has 14
+        for g in graphs:
+            kinds = [("vertex", sk.weakening_vertex_sets)]
+            # three dense n = 8 graphs have C(m, sigma1) >= 136k edge
+            # subsets, 4-36 s each in the oracle; their vertex sets stay
+            if math.comb(g.m, sk.sec(g)) <= 20_000:
+                kinds.append(("edge", sk.weakening_edge_sets))
+            for kind, enum in kinds:
+                expected = oracle_weakening_sets(g, kind)
+                for limit in (None, 1, 3):
+                    got = enum(g, limit=limit, allow_large=True)
+                    want = expected if limit is None else expected[:limit]
+                    assert [(w.members, w.resulting_scc_sizes) for w in got] == want
+                    assert got.capped == (
+                        limit is not None and len(expected) >= limit
+                    ), (g, kind, limit)
+
+    @staticmethod
+    def _assert_matches_reference(g, kind, k, limits=(None, 1, 3)):
+        enum = sk.weakening_vertex_sets if kind == "vertex" else sk.weakening_edge_sets
+        for limit in limits:
+            got = enum(g, limit=limit, allow_large=True, sigma=k)
+            want, capped = reference_weakening_sets(g, kind, k, limit)
+            assert [(w.members, w.resulting_scc_sizes) for w in got] == want, (
+                g, kind, k, limit,
+            )
+            assert got.capped == capped, (g, kind, k, limit)
+
+    def test_matches_reference_past_oracle(self):
+        # sigma0 = sigma1 = 2 digraphs with n 40-80, and gamma(a, 4),
+        # which has 14 vertices (gamma(3, 4) edges: k = 3)
+        graphs = [_sigma_two(n) for n in (40, 60, 80)]
+        graphs += [sk.gamma(sk.FamilyParams(a, 4)) for a in (1, 2, 3)]
+        for g in graphs:
+            self._assert_matches_reference(g, "vertex", sk.svc(g), (None, 3))
+            self._assert_matches_reference(g, "edge", sk.sec(g), (None, 3))
+
+    def test_sigma_override_matches_reference(self):
+        # a sigma other than the true value: 0 yields nothing, larger
+        # values reach prefixes that already break strong connectivity
+        # and the one-vertex clause
+        graphs = [
+            sk.directed_cycle(5),
+            sk.doubled_complete(4),
+            sk.gamma(sk.FamilyParams(1, 1)),
+            _first_strong(6, 0.5),
+        ]
+        for g in graphs:
+            for kind, true in (("vertex", sk.svc(g)), ("edge", sk.sec(g))):
+                for k in (0, true + 1, g.n - 1, g.n):
+                    self._assert_matches_reference(g, kind, k)
+
 
 class TestUndirectedConnectivity:
     def test_complete(self):
@@ -165,6 +245,24 @@ def _first_strong(n, p, seed=0):
     while not sk.is_strongly_connected(g := sk.random_digraph(n, p, seed)):
         seed += 1
     return g
+
+
+def _sigma_two(n, seed=0):
+    # union of two random Hamiltonian cycles: every in- and out-degree is
+    # at most 2; the first seed giving sigma0 = sigma1 = 2
+    import random
+
+    while True:
+        rng = random.Random(seed)
+        arcs = set()
+        for _ in range(2):
+            order = list(range(n))
+            rng.shuffle(order)
+            arcs |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+        g = sk.DirectedGraph(n, arcs)
+        if sk.svc(g) == 2 and sk.sec(g) == 2:
+            return g
+        seed += 1
 
 
 def _bridged(n, p, k, seed):

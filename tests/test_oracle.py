@@ -11,6 +11,7 @@ from svckit.oracle import (
     oracle_sec,
     oracle_sec_by_subsets,
     oracle_svc,
+    oracle_weakening_sets,
     oracle_zeta0,
 )
 
@@ -56,6 +57,20 @@ def test_oracle_zeta0_hand_values():
     assert oracle_zeta0(4, [(0, 1), (1, 2), (2, 3)]) == 1
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     assert oracle_zeta0(5, cycle) == 2
+
+
+def test_oracle_weakening_sets_hand_values():
+    cycle = sk.directed_cycle(4)
+    assert oracle_weakening_sets(cycle, "vertex") == [
+        ((v,), (1, 1, 1)) for v in range(4)
+    ]
+    assert oracle_weakening_sets(cycle, "edge") == [
+        ((e,), (1, 1, 1, 1)) for e in sorted(cycle.edges)
+    ]
+    # every 3-subset of the doubled K4 leaves one vertex
+    assert oracle_weakening_sets(sk.doubled_complete(4), "vertex") == [
+        (s, (1,)) for s in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    ]
 
 
 def test_size_guard():
