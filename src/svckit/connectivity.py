@@ -15,9 +15,11 @@ delta+(S) is crossed by some consecutive pair leaving S).
 Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
 time: the strong articulation points of G - P are the non-trivial
 dominators of G - P and of its reverse from one root (Italiano, Laura &
-Santaroni 2012), computed without rebuilding the graph, and each one
-above max(P) completes P to a witness. Edge sets use the edge-split
-graph, whose midpoint articulation points are the strong bridges. This
+Santaroni 2012), and each one above max(P) is a candidate to complete P,
+as is the root. Edge sets use the edge-split graph, whose midpoint
+articulation points are the strong bridges. Every candidate is settled,
+and its SCC sizes counted, by one Tarjan pass over the same adjacency
+lists with the removed nodes masked, so no graph is ever rebuilt. This
 is the k = 2 reduction {v} + SAP(G - v) of Georgiadis, Italiano, Laura
 & Parotsidis (2015), applied to every prefix: C(n, k-1) dominator
 passes instead of C(n, k) graph builds and SCC checks.
@@ -36,13 +38,11 @@ from .graphs import (
     PreconditionError,
     UndirectedGraph,
     doubled,
-    remove_edges,
-    remove_vertices,
     stats,
     underlying,
 )
 from .flow import EdgeFlowNetwork, VertexFlowNetwork
-from .scc import is_strongly_connected, scc
+from .scc import _components, is_strongly_connected, scc
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ def vertex_pair_scan(
     """min(upper, min over scanned pairs of the vertex flow) and the cut of
     the first pair that attained it (None if no flow went below upper).
 
-    Sources are scanned Even-Tarjan style, 0..best, against every target in
-    both directions (a direction with a direct edge has no separating cut
-    and is skipped); every flow is capped at the running best, and the scan
-    stops as soon as the best reaches ``lower``. ``g`` must be strongly
-    connected.
+    Sources are scanned Even-Tarjan style, 0..best, each against the
+    targets above it in both directions, so no pair runs twice (a
+    direction with a direct edge has no separating cut and is skipped);
+    every flow is capped at the running best, and the scan stops as soon
+    as the best reaches ``lower``. ``g`` must be strongly connected.
     """
     best, cut = upper, None
     if best <= lower:
@@ -145,9 +145,7 @@ def vertex_pair_scan(
     for s in range(g.n):
         if s > best:
             break
-        for t in range(g.n):
-            if t == s:
-                continue
+        for t in range(s + 1, g.n):
             for a, b in ((s, t), (t, s)):
                 if g.has_edge(a, b):
                     continue
@@ -186,10 +184,6 @@ def sec(g: DirectedGraph) -> int:
 def _check_limit(limit: Optional[int]) -> None:
     if limit is not None and limit < 1:
         raise GraphInputError(f"limit must be >= 1, got {limit}")
-
-
-def _scc_sizes_after(g: DirectedGraph) -> Tuple[int, ...]:
-    return tuple(sorted((len(c) for c in scc(g).components), reverse=True))
 
 
 def _postorder(root: int, succ: Sequence[Sequence[int]], dead: bytearray) -> List[int]:
@@ -264,29 +258,36 @@ def _cut_points(
     root: int,
     lo: int,
 ) -> Optional[List[int]]:
-    """The nodes >= ``lo`` whose removal leaves the live subgraph H
-    (``size`` >= 3 nodes) not strongly connected, ascending, or None if H
-    is not strongly connected. For s != root these are the non-trivial
-    dominators of H and of its reverse from root (Italiano, Laura &
-    Santaroni 2012); root itself, when >= lo, is checked by one
-    reachability pass in each direction."""
+    """The nodes >= ``lo`` other than ``root`` whose removal leaves the
+    live subgraph H (``size`` >= 3 nodes) not strongly connected,
+    ascending, or None if H is not strongly connected. These are the
+    non-trivial dominators of H and of its reverse from root (Italiano,
+    Laura & Santaroni 2012)."""
     fwd = _dominators(root, succ, pred, dead, size)
     if fwd is None:
         return None
     rev = _dominators(root, pred, succ, dead, size)
     if rev is None:
         return None
-    cuts = fwd | rev
-    if root >= lo:
-        dead[root] = 1
-        x = next(v for v in range(len(dead)) if not dead[v])
-        if (
-            len(_postorder(x, succ, dead)) < size - 1
-            or len(_postorder(x, pred, dead)) < size - 1
-        ):
-            cuts.add(root)
-        dead[root] = 0
-    return sorted(c for c in cuts if c >= lo)
+    return sorted(c for c in fwd | rev if c >= lo)
+
+
+def _adjacency(
+    g: DirectedGraph, kind: str
+) -> Tuple[Sequence, int, List[List[int]], List[List[int]]]:
+    """(items, offset, succ, pred): item i is node offset + i. Sorted edge
+    i = (u, v) is the midpoint n + i of the split graph u -> n + i -> v."""
+    if kind == "vertex":
+        succ = [g.successors(v) for v in range(g.n)]
+        pred = [g.predecessors(v) for v in range(g.n)]
+        return range(g.n), 0, succ, pred
+    items = g.sorted_edges()
+    succ = [[] for _ in range(g.n)] + [[v] for _, v in items]
+    pred = [[] for _ in range(g.n)] + [[u] for u, _ in items]
+    for i, (u, v) in enumerate(items):
+        succ[u].append(g.n + i)
+        pred[v].append(g.n + i)
+    return items, g.n, succ, pred
 
 
 def _weakening_sets(
@@ -297,56 +298,46 @@ def _weakening_sets(
     in lexicographic order.
 
     W is such a set exactly when its last member s breaks the strong
-    connectivity of g - (W - {s}), so each (k-1)-prefix P costs one cut
-    point computation on g - P, and every cut point above max(P) extends
-    P to a witness. Edges are handled as the midpoints n + i of the edge
-    split graph u -> n + i -> v, rooted at vertex 0, which is never
-    removed. A remainder that is not strongly connected, or has fewer
-    than 3 nodes, is checked subset by subset.
+    connectivity of g - (W - {s}). So each (k-1)-prefix P tries as s the
+    cut points of g - P above max(P) from one dominator pass, and the
+    pass's root when it is above max(P) too; when the dominator pass does
+    not apply (g - P has fewer than 3 nodes or is not strongly connected)
+    it tries every s above max(P). Each s is marked dead and settled by
+    one masked SCC pass, which also gives the SCC sizes. Edges are the
+    midpoints n + i of the edge split graph, rooted at vertex 0, which is
+    never removed; only nodes < n count towards the sizes.
     """
     out = WitnessList()
     if k == 0:
         return out
-    if kind == "vertex":
-        items: Sequence = range(g.n)
-        offset = 0
-        succ = [g.successors(v) for v in range(g.n)]
-        pred = [g.predecessors(v) for v in range(g.n)]
-    else:
-        items = g.sorted_edges()
-        offset = g.n
-        succ = [[] for _ in range(g.n)] + [[v] for _, v in items]
-        pred = [[] for _ in range(g.n)] + [[u] for u, _ in items]
-        for i, (u, v) in enumerate(items):
-            succ[u].append(g.n + i)
-            pred[v].append(g.n + i)
+    items, offset, succ, pred = _adjacency(g, kind)
     size = len(succ) - (k - 1)
     for prefix in itertools.combinations(range(len(items)), k - 1):
-        start = prefix[-1] + 1 if prefix else 0
-        if start >= len(items):
+        lo = offset + (prefix[-1] + 1 if prefix else 0)
+        if lo >= len(succ):
             continue
+        dead = bytearray(len(succ))
+        for i in prefix:
+            dead[offset + i] = 1
         cuts = None
         if size >= 3:
-            dead = bytearray(len(succ))
-            for i in prefix:
-                dead[offset + i] = 1
             # root at a live node that is not a candidate when there is one
-            lo = offset + start
             root = next((v for v in range(lo) if not dead[v]), lo)
             cuts = _cut_points(succ, pred, dead, size, root, lo)
         if cuts is None:
-            candidates: Sequence[int] = range(start, len(items))
+            candidates: Sequence[int] = range(lo, len(succ))
         else:
-            candidates = [c - offset for c in cuts]
-        for s in candidates:
-            members = tuple(items[i] for i in prefix + (s,))
-            if kind == "vertex":
-                h = remove_vertices(g, members)[0]
-            else:
-                h = remove_edges(g, members)
-            if cuts is None and h.n != 1 and is_strongly_connected(h):
+            # root == lo when it is a candidate, so the order stays ascending
+            candidates = [root] + cuts if root >= lo else cuts
+        for c in candidates:
+            dead[c] = 1
+            sizes = [sum(v < g.n for v in comp) for comp in _components(succ, dead)]
+            dead[c] = 0
+            sizes = sorted((x for x in sizes if x), reverse=True)
+            if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
                 continue
-            out.append(WeakeningSet(kind, members, _scc_sizes_after(h)))
+            members = tuple(items[i] for i in prefix) + (items[c - offset],)
+            out.append(WeakeningSet(kind, members, tuple(sizes)))
             if limit is not None and len(out) >= limit:
                 out.capped = True
                 return out

@@ -20,8 +20,8 @@ from .connectivity import (
     vertex_pair_scan,
     weakening_vertex_sets,
 )
-from .graphs import DirectedGraph, PreconditionError, induced, remove_vertices, underlying
-from .scc import scc
+from .graphs import DirectedGraph, PreconditionError, induced, underlying
+from .scc import _components, is_strongly_connected
 
 
 @dataclass
@@ -29,7 +29,7 @@ class DecompositionNode:
     vertices: Tuple[int, ...]              # original ids, ascending
     depth: int
     sigma0: int
-    zeta0_underlying: Optional[int]
+    zeta0_underlying: int
     chosen_set: Optional[WeakeningSet]     # original coordinates; None at leaves
     witness_count: Optional[int]           # None when not enumerated
     condensation_sizes: Tuple[int, ...]    # sizes after removal, descending
@@ -45,17 +45,15 @@ def _build(
     max_depth: int,
     selection: str,
     enumerate_large: bool,
-    compute_zeta: bool,
 ) -> DecompositionNode:
     h, mapping = induced(g, vertices)
     back = {new: old for old, new in mapping.items()}
     k = svc(h)
-    z0 = undirected_vertex_connectivity(underlying(h)) if compute_zeta else None
     node = DecompositionNode(
         vertices=tuple(sorted(vertices)),
         depth=depth,
         sigma0=k,
-        zeta0_underlying=z0,
+        zeta0_underlying=undirected_vertex_connectivity(underlying(h)),
         chosen_set=None,
         witness_count=None,
         condensation_sizes=(),
@@ -90,9 +88,10 @@ def _build(
         value, local_members = vertex_pair_scan(h, k + 1, k)
         if value != k:
             raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
-    h2, mapping2 = remove_vertices(h, local_members)
-    back2 = {new: back[old] for old, new in mapping2.items()}
-    parts = scc(h2).components
+    dead = bytearray(h.n)
+    for v in local_members:
+        dead[v] = 1
+    parts = _components([h.successors(v) for v in range(h.n)], dead)
     sizes = tuple(sorted((len(c) for c in parts), reverse=True))
     node.chosen_set = WeakeningSet(
         kind="vertex",
@@ -102,11 +101,11 @@ def _build(
     node.condensation_sizes = sizes
 
     # deterministic child order: by descending size then smallest orig id
-    comps = [tuple(sorted(back2[v] for v in comp)) for comp in parts if len(comp) >= 2]
+    comps = [tuple(sorted(back[v] for v in comp)) for comp in parts if len(comp) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))
     for comp in comps:
         node.children.append(
-            _build(g, comp, depth + 1, max_depth, selection, enumerate_large, compute_zeta)
+            _build(g, comp, depth + 1, max_depth, selection, enumerate_large)
         )
     return node
 
@@ -116,7 +115,6 @@ def iterate(
     max_depth: int,
     selection: str = "first-lexicographic",
     enumerate_large: bool = False,
-    compute_zeta: bool = True,
 ) -> DecompositionNode:
     """Build the decomposition tree, removing a minimum weakening vertex
     set at every node of depth < max_depth. Recursion also stops at
@@ -126,13 +124,9 @@ def iterate(
         raise PreconditionError(f"max_depth must be >= 1, got {max_depth}")
     if selection not in ("first-lexicographic", "all-witnesses-report"):
         raise PreconditionError(f"unknown selection mode {selection!r}")
-    from .scc import is_strongly_connected
-
     if g.n < 2 or not is_strongly_connected(g):
         raise PreconditionError("graph must be strongly connected with n >= 2")
-    return _build(
-        g, tuple(range(g.n)), 0, max_depth, selection, enumerate_large, compute_zeta
-    )
+    return _build(g, tuple(range(g.n)), 0, max_depth, selection, enumerate_large)
 
 
 def _largest_chain(tree: DecompositionNode) -> List[DecompositionNode]:
@@ -149,7 +143,7 @@ def sigma_trace(tree: DecompositionNode) -> List[int]:
     return [node.sigma0 for node in _largest_chain(tree)]
 
 
-def zeta_trace(tree: DecompositionNode) -> List[Optional[int]]:
+def zeta_trace(tree: DecompositionNode) -> List[int]:
     """Underlying vertex connectivity along the same largest-component
     chain as sigma_trace."""
     return [node.zeta0_underlying for node in _largest_chain(tree)]

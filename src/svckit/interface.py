@@ -71,7 +71,7 @@ def _sniff(path: Path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             head = fh.read(512)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return "graphml" if "<graphml" in head or "<?xml" in head else "edgelist"
 
@@ -83,7 +83,7 @@ def _parse_edgelist(
     isolated: List[str] = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         if opts.has_header and lineno == 1:

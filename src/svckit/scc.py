@@ -3,12 +3,14 @@
 Traversal order is pinned to ascending vertex ids, so output is
 deterministic for a given graph. Components come out in reverse
 topological order of the condensation, which is what Tarjan emits.
+The pass runs over adjacency lists with a dead-node mask, so the SCCs
+of a graph minus some nodes come without rebuilding the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from .graphs import DirectedGraph
 
@@ -25,20 +27,22 @@ class Condensation:
     sizes: List[int]              # component index -> vertex count
 
 
-def scc(g: DirectedGraph) -> SccPartition:
-    n = g.n
-    index = [-1] * n
+def _components(succ: Sequence[Sequence[int]], dead: bytearray) -> List[List[int]]:
+    """SCCs of the subgraph on the nodes not marked in ``dead``, as
+    unsorted node lists in the order iterative Tarjan emits them (reverse
+    topological). Nodes and successors are visited in list order."""
+    n = len(succ)
+    index = [0 if dead[v] else -1 for v in range(n)]  # dead: seen, off stack
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
-    comp_of = [-1] * n
     components: List[List[int]] = []
     counter = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # iterative Tarjan: work entries are (vertex, iterator position)
+        # work entries are (node, position in its successor list)
         work = [(root, 0)]
         while work:
             v, pi = work.pop()
@@ -48,9 +52,9 @@ def scc(g: DirectedGraph) -> SccPartition:
                 stack.append(v)
                 on_stack[v] = True
             recurse = False
-            succ = g.successors(v)
-            while pi < len(succ):
-                w = succ[pi]
+            out = succ[v]
+            while pi < len(out):
+                w = out[pi]
                 pi += 1
                 if index[w] == -1:
                     work.append((v, pi))
@@ -67,16 +71,24 @@ def scc(g: DirectedGraph) -> SccPartition:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp_of[w] = len(components)
                     comp.append(w)
                     if w == v:
                         break
-                comp.sort()
                 components.append(comp)
             if work:
                 parent = work[-1][0]
                 if low[v] < low[parent]:
                     low[parent] = low[v]
+    return components
+
+
+def scc(g: DirectedGraph) -> SccPartition:
+    components = _components([g.successors(v) for v in range(g.n)], bytearray(g.n))
+    comp_of = [-1] * g.n
+    for i, comp in enumerate(components):
+        comp.sort()
+        for v in comp:
+            comp_of[v] = i
     return SccPartition(component_of=comp_of, components=components)
 
 

@@ -158,6 +158,17 @@ class TestErrorHandling:
         f.write_text("a b c d e\n")
         assert run_cli(["analyze", str(f)]).returncode == 2
 
+    def test_non_utf8_input(self, tmp_path):
+        # format detection and the edge-list parser both report the bad
+        # byte as a parse error: exit 2 with one error line, no traceback
+        f = tmp_path / "latin1.edges"
+        f.write_bytes(b"a b\nb caf\xe9\ncaf\xe9 a\n")
+        for fmt in ([], ["--format", "edgelist"]):
+            r = run_cli(["svc", str(f), *fmt])
+            assert r.returncode == 2, fmt
+            assert r.stderr.startswith("error: ") and "0xe9" in r.stderr, fmt
+            assert len(r.stderr.splitlines()) == 1, fmt
+
 
 class TestInProcessEntrypoint:
     def test_main_returns_zero(self, gamma13_file, capsys):

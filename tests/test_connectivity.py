@@ -5,6 +5,7 @@ import pytest
 
 import svckit as sk
 from svckit.connectivity import EnumerationGuardError
+from svckit.flow import VertexFlowNetwork
 from svckit.graphs import GraphInputError, PreconditionError
 from svckit.oracle import (
     oracle_local_sigma,
@@ -76,6 +77,27 @@ class TestSvcSec:
     def test_sec_matches_oracle(self):
         for g, seed in strongly_connected_corpus(40):
             assert sk.sec(g) == oracle_sec(g), f"seed={seed}"
+
+    def test_pair_scan_runs_no_flow_twice(self, monkeypatch):
+        # a pair (s, t) with t < s already ran when t was the source, with
+        # a cap no lower than today's, so running it again is wasted
+        calls = []
+        flow = VertexFlowNetwork.flow
+
+        def counted(net, s, t, cap=None):
+            calls.append((s, t))
+            return flow(net, s, t, cap=cap)
+
+        monkeypatch.setattr(VertexFlowNetwork, "flow", counted)
+        runs = 0
+        for g, seed in strongly_connected_corpus(40):
+            und = sk.underlying(g)
+            for scan in (lambda: sk.svc(g), lambda: sk.undirected_vertex_connectivity(und)):
+                calls.clear()
+                scan()
+                assert len(calls) == len(set(calls)), f"seed={seed}"
+                runs += len(calls) > 0
+        assert runs >= 20  # most scans ran flows at all
 
 
 class TestWeakeningSets:

@@ -1,5 +1,11 @@
+import random
+
+import pytest
+
 import svckit as sk
+from svckit.connectivity import _adjacency
 from svckit.oracle import oracle_scc_ids
+from svckit.scc import _components
 
 from helpers import seeded_random_graphs
 
@@ -95,3 +101,52 @@ def test_doubled_strong_iff_connected():
         edges = [e for e in pairs if rng.random() < 0.35]
         d = sk.UndirectedGraph(n, edges)
         assert sk.is_strongly_connected(sk.doubled(d)) == d.is_connected()
+
+
+def _mask(size, dead_nodes):
+    dead = bytearray(size)
+    for v in dead_nodes:
+        dead[v] = 1
+    return dead
+
+
+def test_masked_pass_matches_rebuilt_graph():
+    # same components, in the same order, as scc of the rebuilt g - S;
+    # the masks include none, a random set, all but one and all
+    rng = random.Random(3)
+    for g, seed in seeded_random_graphs(60, n_hi=12):
+        succ = [g.successors(v) for v in range(g.n)]
+        for count in sorted({0, rng.randint(0, g.n), g.n - 1, g.n}):
+            removed = rng.sample(range(g.n), count)
+            h, mapping = sk.remove_vertices(g, removed)
+            back = {new: old for old, new in mapping.items()}
+            want = [[back[v] for v in comp] for comp in sk.scc(h).components]
+            got = [sorted(comp) for comp in _components(succ, _mask(g.n, removed))]
+            assert got == want, (seed, removed)
+
+
+def test_edge_split_pass_matches_removed_edges():
+    # on the edge-split graph with the midpoints of S dead, the components
+    # restricted to the vertices are those of scc(g - S)
+    rng = random.Random(5)
+    for g, seed in seeded_random_graphs(60, n_hi=12):
+        items, offset, succ, _ = _adjacency(g, "edge")
+        for count in sorted({0, rng.randint(0, g.m), g.m}):
+            removed = rng.sample(range(g.m), count)
+            dead = _mask(len(succ), [offset + i for i in removed])
+            got = [sorted(v for v in comp if v < g.n) for comp in _components(succ, dead)]
+            want = sk.scc(sk.remove_edges(g, [items[i] for i in removed])).components
+            assert [c for c in got if c] == want, (seed, removed)
+
+
+def test_matches_networkx_past_oracle():
+    nx = pytest.importorskip("networkx")
+    # sparse to dense: several small non-trivial SCCs, then a giant one
+    for n, p, seed in ((100, 0.012, 100), (200, 0.006, 2), (200, 0.01, 200),
+                       (300, 0.004, 3), (300, 0.012, 300)):
+        g = sk.random_digraph(n, p, seed)
+        dg = nx.DiGraph()
+        dg.add_nodes_from(range(n))
+        dg.add_edges_from(g.edges)
+        want = sorted(sorted(c) for c in nx.strongly_connected_components(dg))
+        assert sorted(sk.scc(g).components) == want, (n, p, seed)
