@@ -5,12 +5,11 @@ sigma0 (strong vertex connectivity) is the minimum number of vertices
 whose removal leaves a graph that is not strongly connected or has one
 vertex; sigma1 (strong edge connectivity) is the edge analogue. Both are
 computed from unit-capacity max-flow on one flow network per graph, with
-pruning: a running best value caps every flow, a scan stops as soon as it
-reaches a known lower bound, the vertex case scans sources Even-Tarjan
-style (any minimum cut of size k misses at least one of the first k+1
-vertices, so that many sources suffice), and the edge case follows the
-cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut
-delta+(S) is crossed by some consecutive pair leaving S).
+pruning: a running best value caps every flow and a scan stops at 1. The
+vertex case (sigma0, and zeta0 on the doubled digraph) runs only one
+pivot vertex's pairs, the Esfahanian-Hakimi (1984) pair set; the edge
+case follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n})
+(a minimum cut delta+(S) is crossed by some consecutive pair leaving S).
 
 Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
 time: the strong articulation points of G - P are the non-trivial
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import (
     DirectedGraph,
@@ -99,86 +98,82 @@ def local_sigma(g: DirectedGraph, u: int, v: int) -> int:
     if u == v:
         raise GraphInputError("vertices must differ")
     _require_strong(g)
-    net = VertexFlowNetwork(g)
-    best = g.n - 1
-    for a, b in ((u, v), (v, u)):
-        if not g.has_edge(a, b):
-            ans = net.flow(a, b, cap=best)
-            if not ans.saturated:
-                best = ans.value
-    return best
+    pairs = [(a, b) for a, b in ((u, v), (v, u)) if not g.has_edge(a, b)]
+    return _min_flow(VertexFlowNetwork, g, pairs, g.n - 1, 0)[0]
+
+
+def _degrees(g: DirectedGraph) -> List[int]:
+    return [len(a) for v in range(g.n) for a in (g.successors(v), g.predecessors(v))]
 
 
 def _vertex_upper_bound(g: DirectedGraph) -> int:
     # removing all out- (or in-) neighbours of v is a weakening set
     # whenever at least 2 vertices survive
-    best = g.n - 1
-    for v in range(g.n):
-        for d in (len(g.successors(v)), len(g.predecessors(v))):
-            if d <= g.n - 2:
-                best = min(best, d)
-    return best
+    return min([d for d in _degrees(g) if d <= g.n - 2], default=g.n - 1)
 
 
-def _edge_upper_bound(g: DirectedGraph) -> int:
-    return min(
-        min(len(g.successors(v)), len(g.predecessors(v))) for v in range(g.n)
-    )
-
-
-def vertex_pair_scan(
-    g: DirectedGraph, upper: int, lower: int
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """min(upper, min over scanned pairs of the vertex flow) and the cut of
-    the first pair that attained it (None if no flow went below upper).
-
-    Sources are scanned Even-Tarjan style, 0..best, each against the
-    targets above it in both directions, so no pair runs twice (a
-    direction with a direct edge has no separating cut and is skipped);
-    every flow is capped at the running best, and the scan stops as soon
-    as the best reaches ``lower``. ``g`` must be strongly connected.
-    """
-    best, cut = upper, None
+def _min_flow(
+    network: type, g: DirectedGraph, pairs: Iterable[Tuple[int, int]],
+    best: int, lower: int,
+) -> Tuple[int, Optional[Tuple]]:
+    """min(best, min flow over ``pairs`` on one ``network`` of g) and the
+    cut of the first pair that went below best (None if none did). Flows
+    are capped at the running best; the loop stops once it reaches
+    ``lower``. Vertex flows need pairs that are not arcs."""
+    cut = None
     if best <= lower:
         return best, cut
-    net = VertexFlowNetwork(g)
-    for s in range(g.n):
-        if s > best:
-            break
-        for t in range(s + 1, g.n):
-            for a, b in ((s, t), (t, s)):
-                if g.has_edge(a, b):
-                    continue
-                ans = net.flow(a, b, cap=best)
-                if not ans.saturated:
-                    best, cut = ans.value, ans.cut
-                    if best <= lower:
-                        return best, cut
+    net = network(g)
+    for a, b in pairs:
+        ans = net.flow(a, b, cap=best)
+        if not ans.saturated:
+            best, cut = ans.value, ans.cut
+            if best <= lower:
+                break
     return best, cut
+
+
+def _pivot_pairs(g: DirectedGraph) -> Iterator[Tuple[int, int]]:
+    """Non-arc pairs whose minimum vertex flow is sigma0, for the pivot v
+    with the fewest: (v, w) for w not in N+(v), (w, v) for w not in N-(v),
+    (x, y) for x in N-(v), y in N+(v). A minimum separator S either misses
+    v, and a pair through v crosses it, or holds v, and then a shortest
+    path across S in G - (S - v) is some x -> v -> y."""
+    # v has (n-1-d+) + (n-1-d-) + d+ d- = 2n - 3 + (d+ - 1)(d- - 1) pairs
+    v = min(range(g.n), key=lambda w: (len(g.successors(w)) - 1)
+            * (len(g.predecessors(w)) - 1))
+    yield from ((v, w) for w in range(g.n) if w != v and not g.has_edge(v, w))
+    yield from ((w, v) for w in range(g.n) if w != v and not g.has_edge(w, v))
+    for x in g.predecessors(v):
+        yield from ((x, y) for y in g.successors(v) if x != y and not g.has_edge(x, y))
+
+
+def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """A minimum vertex cut when k = sigma0: the value and cut of the first
+    pair whose vertex flow is at most k (k + 1 and None if none is). Pairs
+    follow the Even-Tarjan order: sources 0..k+1 (a k-cut misses one of
+    them), each against the targets above it in both directions, arcs
+    skipped."""
+    pairs = ((a, b) for s in range(k + 2) for t in range(s + 1, g.n)
+             for a, b in ((s, t), (t, s)) if not g.has_edge(a, b))
+    return _min_flow(VertexFlowNetwork, g, pairs, k + 1, k)
 
 
 def svc(g: DirectedGraph) -> int:
     """sigma0: strong vertex connectivity. n-1 for the complete
-    bidirected graph (one-vertex clause of the definition)."""
+    bidirected graph (one-vertex clause of the definition). The minimum
+    flow over ``_pivot_pairs``, starting from the degree bound."""
     _require_strong(g)
-    return vertex_pair_scan(g, _vertex_upper_bound(g), 1)[0]
+    pairs = _pivot_pairs(g)
+    return _min_flow(VertexFlowNetwork, g, pairs, _vertex_upper_bound(g), 1)[0]
 
 
 def sec(g: DirectedGraph) -> int:
     """sigma1: strong edge connectivity, as the minimum edge flow between
     cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0."""
     _require_strong(g)
-    best = _edge_upper_bound(g)
-    if best <= 1:
-        return best
-    net = EdgeFlowNetwork(g)
-    for v in range(g.n):
-        ans = net.flow(v, (v + 1) % g.n, cap=best)
-        if not ans.saturated:
-            best = ans.value
-            if best <= 1:
-                break
-    return best
+    pairs = ((v, (v + 1) % g.n) for v in range(g.n))
+    return _min_flow(EdgeFlowNetwork, g, pairs, min(_degrees(g)), 1)[0]
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -393,11 +388,14 @@ def weakening_edge_sets(
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
-    """Classical zeta0, computed as svc of the doubled digraph (the two
-    agree whenever every arc has its reverse). Disconnected -> 0."""
+    """Classical zeta0 as sigma0 of the doubled digraph, where MF(a, b) =
+    MF(b, a): each unordered pivot pair runs once, which is the
+    Esfahanian & Hakimi (1984) pair set. Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return svc(doubled(d))
+    g = doubled(d)
+    pairs = ((a, b) for a, b in _pivot_pairs(g) if a < b)
+    return _min_flow(VertexFlowNetwork, g, pairs, _vertex_upper_bound(g), 1)[0]
 
 
 def undirected_edge_connectivity(d: UndirectedGraph) -> int:

@@ -85,7 +85,7 @@ def _build(
     else:
         # one minimum weakening vertex set from a flow cut certificate;
         # every flow is >= k, so the first one below k + 1 certifies k
-        value, local_members = vertex_pair_scan(h, k + 1, k)
+        value, local_members = vertex_pair_scan(h, k)
         if value != k:
             raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
     dead = bytearray(h.n)

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded graph corpora, tiny brute-force
 reachability helpers kept independent of the package's flow/scc code, and
-the literal subset loop that weakening-set enumeration is compared with
-past the oracle's size limit."""
+the large-n references past the oracle's size limit: the literal subset
+loop for weakening-set enumeration and the Even-Tarjan source scan for
+sigma0."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 from typing import Iterable, List, Tuple
 
 import svckit as sk
+from svckit.flow import VertexFlowNetwork
 
 
 def seeded_random_graphs(count, n_lo=2, n_hi=8, probs=(0.15, 0.3, 0.5, 0.8)):
@@ -99,3 +101,26 @@ def reference_weakening_sets(g: sk.DirectedGraph, kind: str, k: int, limit=None)
             if limit is not None and len(out) >= limit:
                 return out, True
     return out, False
+
+
+def reference_svc(g: sk.DirectedGraph) -> int:
+    """Even-Tarjan source scan, the large-n reference for svc: a cut of
+    size k misses one of the sources 0..k, so sources 0..best, each
+    against every other vertex in both directions (arcs skipped), with
+    flows capped at the running best, starting from the degree bound."""
+    best = g.n - 1
+    for v in range(g.n):
+        for d in (len(g.successors(v)), len(g.predecessors(v))):
+            if d <= g.n - 2:
+                best = min(best, d)
+    net = VertexFlowNetwork(g)
+    s = 0
+    while s <= best and s < g.n:
+        for t in range(s + 1, g.n):
+            for a, b in ((s, t), (t, s)):
+                if not g.has_edge(a, b):
+                    ans = net.flow(a, b, cap=best)
+                    if not ans.saturated:
+                        best = ans.value
+        s += 1
+    return best

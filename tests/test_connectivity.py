@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from svckit.oracle import (
     oracle_zeta0,
 )
 
-from helpers import reference_weakening_sets, strongly_connected_corpus
+from helpers import reference_svc, reference_weakening_sets, strongly_connected_corpus
 
 
 class TestLocalSigma:
@@ -79,8 +80,9 @@ class TestSvcSec:
             assert sk.sec(g) == oracle_sec(g), f"seed={seed}"
 
     def test_pair_scan_runs_no_flow_twice(self, monkeypatch):
-        # a pair (s, t) with t < s already ran when t was the source, with
-        # a cap no lower than today's, so running it again is wasted
+        # svc runs no ordered pair twice and at most the pivot's pair
+        # count of flows; zeta0 runs each unordered pair at most once,
+        # since MF(a, b) = MF(b, a) on the doubled digraph
         calls = []
         flow = VertexFlowNetwork.flow
 
@@ -89,14 +91,19 @@ class TestSvcSec:
             return flow(net, s, t, cap=cap)
 
         monkeypatch.setattr(VertexFlowNetwork, "flow", counted)
+        graphs = [g for g, _ in strongly_connected_corpus(40)]
+        graphs += [_sigma_two(40), _planted(12, True), _planted(12, False)]
         runs = 0
-        for g, seed in strongly_connected_corpus(40):
-            und = sk.underlying(g)
-            for scan in (lambda: sk.svc(g), lambda: sk.undirected_vertex_connectivity(und)):
-                calls.clear()
-                scan()
-                assert len(calls) == len(set(calls)), f"seed={seed}"
-                runs += len(calls) > 0
+        for g in graphs:
+            calls.clear()
+            sk.svc(g)
+            assert len(calls) == len(set(calls)), g
+            assert len(calls) <= _pivot_pair_count(g), g
+            runs += len(calls) > 0
+            calls.clear()
+            sk.undirected_vertex_connectivity(sk.underlying(g))
+            assert len(calls) == len({frozenset(c) for c in calls}), g
+            runs += len(calls) > 0
         assert runs >= 20  # most scans ran flows at all
 
 
@@ -308,8 +315,83 @@ def _bridged(n, p, k, seed):
     return sk.DirectedGraph(n, arcs)
 
 
+def _pivot_pair_count(g, v=None):
+    # (n-1-d+) + (n-1-d-) + d+ d- pairs for v, by default for the pivot,
+    # the vertex minimising that count
+    if v is None:
+        return min(_pivot_pair_count(g, w) for w in range(g.n))
+    dout, din = len(g.successors(v)), len(g.predecessors(v))
+    return (g.n - 1 - dout) + (g.n - 1 - din) + dout * din
+
+
+def _planted(h, pivot_in_separator):
+    # bidirected cliques A = 0..h-1 and B = h..2h-1 with every arc B -> A;
+    # A reaches B only through separator vertices, one of them s = 2h
+    # (arcs in from all of A, out to all of B). Vertex v = 2h + 1 has in-
+    # and out-degree 3, so it is the pivot and the degree bound is 3,
+    # while sigma0 = 2. Either v is the second separator vertex (3 arcs
+    # in from A, 3 out to B), so only its neighbour pairs cross the one
+    # minimum separator {s, v}, or v hangs off B and a second separator
+    # vertex 2h + 2 like s makes {s, 2h + 2} the one minimum separator,
+    # which only the pairs (w, v) cross.
+    a_side, b_side = list(range(h)), list(range(h, 2 * h))
+    arcs = {(x, y) for side in (a_side, b_side) for x in side for y in side if x != y}
+    arcs |= {(b, a) for a in a_side for b in b_side}
+    seps = [2 * h] if pivot_in_separator else [2 * h, 2 * h + 2]
+    arcs |= {(a, s) for s in seps for a in a_side} | {(s, b) for s in seps for b in b_side}
+    v = 2 * h + 1
+    ins = a_side[:3] if pivot_in_separator else b_side[:3]
+    arcs |= {(x, v) for x in ins} | {(v, y) for y in b_side[-3:]}
+    return sk.DirectedGraph(2 * h + len(seps) + 1, arcs)
+
+
+def _reversed(g):
+    return sk.DirectedGraph(g.n, [(v, u) for u, v in g.edges])
+
+
+@functools.lru_cache(maxsize=None)
+def _past_oracle_graphs():
+    planted = [_planted(h, side) for h in (20, 40) for side in (True, False)]
+    return [
+        _first_strong(40, 0.15),
+        _first_strong(100, 0.06),
+        _first_strong(200, 0.04),
+        _first_strong(300, 0.03),
+        _bridged(120, 0.3, 3, 4),
+        _sigma_two(60),
+        _sigma_two(300),
+    ] + planted + [_reversed(g) for g in planted]
+
+
 class TestNetworkxDifferential:
-    """Edge connectivities past the oracle's n <= 12 limit."""
+    """Connectivities past the oracle's n <= 12 limit."""
+
+    def test_svc_matches_reference(self):
+        # the Even-Tarjan source scan that svc used before the pivot pairs
+        for g in _past_oracle_graphs():
+            assert sk.svc(g) == reference_svc(g), repr(g)
+
+    def test_zeta0_matches_networkx(self):
+        # node_connectivity of the undirected underlying graph: that
+        # definition agrees with svckit's, the directed one does not
+        nx = pytest.importorskip("networkx")
+        for g in _past_oracle_graphs():
+            und = sk.underlying(g)
+            ug = nx.Graph()
+            ug.add_nodes_from(range(und.n))
+            ug.add_edges_from(und.edges)
+            assert sk.undirected_vertex_connectivity(und) == nx.node_connectivity(ug), repr(g)
+
+    def test_planted_pivot(self):
+        # v = 2h + 1 alone has the fewest pivot pairs, the degree bound is
+        # 3, and sigma0 = 2 comes from the one branch of v's pairs
+        for side in (True, False):
+            g = _planted(20, side)
+            v = 2 * 20 + 1
+            counts = [_pivot_pair_count(g, w) for w in range(g.n)]
+            assert counts.index(min(counts)) == v and counts.count(min(counts)) == 1
+            assert min(min(len(g.successors(w)), len(g.predecessors(w))) for w in range(g.n)) == 3
+            assert sk.svc(g) == reference_svc(g) == 2
 
     def test_edge_connectivity_matches_networkx(self):
         nx = pytest.importorskip("networkx")
