@@ -8,6 +8,7 @@ or witness enumeration refused at sigma >= 3 without --enumerate-large).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="svckit", description="Strong-connectivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -6,9 +6,9 @@ whose removal leaves a graph that is not strongly connected or has one
 vertex; sigma1 (strong edge connectivity) is the edge analogue. Both are
 computed from unit-capacity max-flow on one flow network per graph, with
 pruning: a running best value caps every flow and a scan stops at 1. The
-vertex case (sigma0, and zeta0 on the doubled digraph) runs only one
-pivot vertex's pairs, the Esfahanian-Hakimi (1984) pair set; the edge
-case follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n})
+vertex case (sigma0, and zeta0 on the underlying graph read as its own
+doubled digraph) runs only one pivot vertex's pairs, the
+Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n})
 (a minimum cut delta+(S) is crossed by some consecutive pair leaving S).
 
 Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
@@ -32,11 +32,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import (
     DirectedGraph,
+    Graph,
     GraphInputError,
     GraphStats,
     PreconditionError,
     UndirectedGraph,
-    doubled,
+    induced,
     stats,
     underlying,
 )
@@ -83,7 +84,7 @@ class EnumerationGuardError(RuntimeError):
     """Enumeration of size-k subsets was refused without explicit opt-in."""
 
 
-def _require_strong(g: DirectedGraph) -> None:
+def _require_strong(g: Graph) -> None:
     if g.n < 2:
         raise PreconditionError(f"graph must have >= 2 vertices, got {g.n}")
     if not is_strongly_connected(g):
@@ -102,18 +103,18 @@ def local_sigma(g: DirectedGraph, u: int, v: int) -> int:
     return _min_flow(VertexFlowNetwork, g, pairs, g.n - 1, 0)[0]
 
 
-def _degrees(g: DirectedGraph) -> List[int]:
+def _degrees(g: Graph) -> List[int]:
     return [len(a) for v in range(g.n) for a in (g.successors(v), g.predecessors(v))]
 
 
-def _vertex_upper_bound(g: DirectedGraph) -> int:
+def _vertex_upper_bound(g: Graph) -> int:
     # removing all out- (or in-) neighbours of v is a weakening set
     # whenever at least 2 vertices survive
     return min([d for d in _degrees(g) if d <= g.n - 2], default=g.n - 1)
 
 
 def _min_flow(
-    network: type, g: DirectedGraph, pairs: Iterable[Tuple[int, int]],
+    network: type, g: Graph, pairs: Iterable[Tuple[int, int]],
     best: int, lower: int,
 ) -> Tuple[int, Optional[Tuple]]:
     """min(best, min flow over ``pairs`` on one ``network`` of g) and the
@@ -133,7 +134,7 @@ def _min_flow(
     return best, cut
 
 
-def _pivot_pairs(g: DirectedGraph) -> Iterator[Tuple[int, int]]:
+def _pivot_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
     """Non-arc pairs whose minimum vertex flow is sigma0, for the pivot v
     with the fewest: (v, w) for w not in N+(v), (w, v) for w not in N-(v),
     (x, y) for x in N-(v), y in N+(v). A minimum separator S either misses
@@ -168,9 +169,10 @@ def svc(g: DirectedGraph) -> int:
     return _min_flow(VertexFlowNetwork, g, pairs, _vertex_upper_bound(g), 1)[0]
 
 
-def sec(g: DirectedGraph) -> int:
+def sec(g: Graph) -> int:
     """sigma1: strong edge connectivity, as the minimum edge flow between
-    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0."""
+    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0. An
+    UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
     pairs = ((v, (v + 1) % g.n) for v in range(g.n))
     return _min_flow(EdgeFlowNetwork, g, pairs, min(_degrees(g)), 1)[0]
@@ -303,6 +305,8 @@ def _weakening_sets(
     never removed; only nodes < n count towards the sizes.
     """
     out = WitnessList()
+    if k < 0:
+        raise GraphInputError(f"sigma must be non-negative, got {k}")
     if k == 0:
         return out
     items, offset, succ, pred = _adjacency(g, kind)
@@ -388,23 +392,23 @@ def weakening_edge_sets(
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
-    """Classical zeta0 as sigma0 of the doubled digraph, where MF(a, b) =
+    """Classical zeta0 as sigma0 of the doubled digraph, which ``d``'s
+    neighbour lists already are, so no copy is built. There MF(a, b) =
     MF(b, a): each unordered pivot pair runs once, which is the
     Esfahanian & Hakimi (1984) pair set. Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    g = doubled(d)
-    pairs = ((a, b) for a, b in _pivot_pairs(g) if a < b)
-    return _min_flow(VertexFlowNetwork, g, pairs, _vertex_upper_bound(g), 1)[0]
+    pairs = ((a, b) for a, b in _pivot_pairs(d) if a < b)
+    return _min_flow(VertexFlowNetwork, d, pairs, _vertex_upper_bound(d), 1)[0]
 
 
 def undirected_edge_connectivity(d: UndirectedGraph) -> int:
-    """Classical zeta1 via sec of the doubled digraph: a minimum directed
-    cut of the doubling counts exactly the undirected edges crossing a
-    bipartition. Disconnected -> 0."""
+    """Classical zeta1 as sec of ``d`` read as its doubled digraph: a
+    minimum directed cut of the doubling counts exactly the undirected
+    edges crossing a bipartition. Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return sec(doubled(d))
+    return sec(d)
 
 
 def report(
@@ -435,8 +439,6 @@ def report(
             flags=flags,
         )
         if g.n >= 2:
-            from .graphs import induced
-
             for comp in scc(g).components:
                 if len(comp) < 2:
                     continue

@@ -1,12 +1,14 @@
 """Unit-capacity max-flow primitives: counts of edge-disjoint and
 internally-vertex-disjoint paths between a vertex pair, with a minimum-cut
-certificate and an optional early-exit cap for all-pairs pruning.
+certificate and an optional cap at which the search stops early.
 
 A graph's flow network is built once (``VertexFlowNetwork``,
 ``EdgeFlowNetwork``) together with a template of its capacities; every
 flow starts from a fresh copy of the template, so any number of pairs can
 be run on one network. ``vertex_max_flow`` and ``edge_max_flow`` are
-one-shot wrappers over these networks.
+one-shot wrappers over these networks. A network takes any graph with
+``n``, sorted ``successors`` lists and ``has_edge``: a ``DirectedGraph``,
+or an ``UndirectedGraph`` read as its doubled digraph.
 
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc) so the flow value counts internally
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .graphs import DirectedGraph, GraphInputError
+from .graphs import Graph, GraphInputError
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class _Network:
         (value, None) when the limit was reached, else (value, parent)
         where ``parent[v] != -1`` marks the vertices reachable from s in
         the final residual network."""
+        if limit is not None and limit < 0:
+            raise GraphInputError(f"cap must be non-negative, got {limit}")
         head, to, size = self.head, self.to, self.size
         flow = 0
         while True:
@@ -99,16 +103,18 @@ class VertexFlowNetwork(_Network):
     """Split network of ``g``: vertex w becomes 2w (in) and 2w+1 (out),
     joined by arc ``2w`` of capacity 1; each edge (u, v) becomes
     2u+1 -> 2v with capacity n, which keeps every minimum cut on the
-    internal arcs."""
+    internal arcs. Edges are added in sorted order, from each vertex's
+    sorted successors."""
 
-    def __init__(self, g: DirectedGraph):
+    def __init__(self, g: Graph):
         super().__init__(2 * g.n)
         self.g = g
         n = g.n
         for w in range(n):
             self._add_arc(2 * w, 2 * w + 1, 1)
-        for u, v in g.sorted_edges():
-            self._add_arc(2 * u + 1, 2 * v, n)
+        for u in range(n):
+            for v in g.successors(u):
+                self._add_arc(2 * u + 1, 2 * v, n)
 
     def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
         """Maximum number of internally-vertex-disjoint s->t paths.
@@ -137,14 +143,14 @@ class VertexFlowNetwork(_Network):
 
 class EdgeFlowNetwork(_Network):
     """Arc network of ``g``: one arc of capacity 1 per edge, in sorted
-    edge order."""
+    edge order, from each vertex's sorted successors."""
 
-    def __init__(self, g: DirectedGraph):
+    def __init__(self, g: Graph):
         super().__init__(g.n)
         self.g = g
-        self.edges = g.sorted_edges()
-        for u, v in self.edges:
-            self._add_arc(u, v, 1)
+        for u in range(g.n):
+            for v in g.successors(u):
+                self._add_arc(u, v, 1)
 
     def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
         """Maximum number of pairwise edge-disjoint s->t paths.
@@ -156,14 +162,13 @@ class EdgeFlowNetwork(_Network):
         value, parent = self._max_flow(self.template[:], s, t, cap)
         if parent is None:
             return FlowAnswer(value=value, cut=(), saturated=True)
-        cut = tuple(
-            (u, v) for u, v in self.edges if parent[u] != -1 and parent[v] == -1
-        )
+        cut = tuple((u, v) for u in range(self.g.n) if parent[u] != -1
+                    for v in self.g.successors(u) if parent[v] == -1)
         return FlowAnswer(value=value, cut=cut, saturated=False)
 
 
 def edge_max_flow(
-    g: DirectedGraph, s: int, t: int, cap: Optional[int] = None
+    g: Graph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
     """Maximum number of pairwise edge-disjoint s->t paths (one-shot
     ``EdgeFlowNetwork(g).flow``)."""
@@ -171,14 +176,14 @@ def edge_max_flow(
 
 
 def vertex_max_flow(
-    g: DirectedGraph, s: int, t: int, cap: Optional[int] = None
+    g: Graph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
     """Maximum number of internally-vertex-disjoint s->t paths (one-shot
     ``VertexFlowNetwork(g).flow``)."""
     return VertexFlowNetwork(g).flow(s, t, cap)
 
 
-def _check_pair(g: DirectedGraph, s: int, t: int) -> None:
+def _check_pair(g: Graph, s: int, t: int) -> None:
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise GraphInputError(f"vertex pair ({s}, {t}) outside [0, {g.n})")
     if s == t:

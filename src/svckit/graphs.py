@@ -3,7 +3,9 @@
 that the rest of the toolkit builds on.
 
 Graphs are simple (no self-loops, no parallel edges) and immutable after
-construction, so they can be shared freely across threads.
+construction. An ``UndirectedGraph`` reads as its own doubled digraph: its
+sorted neighbour lists are both the successor and the predecessor lists of
+the copy ``doubled`` builds, so the directed scans run on it without one.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class DirectedGraph:
         return str(u)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return [(u, v) for u in range(self.n) for v in self._succ[u]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -110,7 +112,10 @@ class DirectedGraph:
 
 
 class UndirectedGraph:
-    """Simple undirected graph; edges stored as (min, max) pairs."""
+    """Simple undirected graph; edges stored as (min, max) pairs.
+
+    ``successors``, ``predecessors`` and ``has_edge`` read it as its
+    doubled digraph, with the same sorted lists as ``doubled`` gives."""
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -142,21 +147,16 @@ class UndirectedGraph:
     def neighbors(self, u: int):
         return self._adj[u]
 
+    successors = predecessors = neighbors
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in self.edges
+
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        # connected exactly when the doubled digraph is strongly connected
+        from .scc import is_strongly_connected
+
+        return is_strongly_connected(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
@@ -168,6 +168,11 @@ class UndirectedGraph:
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"
+
+
+# what the scans read: n, sorted successors/predecessors and has_edge. Not
+# typing.Union, whose cache would keep every imported copy of this module alive.
+Graph = DirectedGraph | UndirectedGraph
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,8 @@ def underlying(g: DirectedGraph) -> UndirectedGraph:
 
 
 def doubled(d: UndirectedGraph) -> DirectedGraph:
-    """D(d): replace each undirected edge by two opposite arcs."""
+    """D(d): replace each undirected edge by two opposite arcs, as a copy
+    (``d`` itself already reads as this digraph)."""
     arcs = []
     for u, v in d.edges:
         arcs.append((u, v))
@@ -266,11 +272,10 @@ def _bfs_ecc(g: DirectedGraph, src: int) -> Optional[int]:
 
 def stats(g: DirectedGraph) -> GraphStats:
     """Degree summary plus directed diameter (None when not strongly
-    connected). Underlying degrees are computed on U(g)."""
-    und = underlying(g)
+    connected). The underlying degree of v is |N+(v) | N-(v)|."""
     if g.n == 0:
         return GraphStats(0, 0, 0, 0, 0, 0, 0, 0, None)
-    udeg = [len(und.neighbors(v)) for v in range(g.n)]
+    udeg = [len(set(g.successors(v)).union(g.predecessors(v))) for v in range(g.n)]
     indeg = [len(g.predecessors(v)) for v in range(g.n)]
     outdeg = [len(g.successors(v)) for v in range(g.n)]
     diameter: Optional[int] = 0

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from .connectivity import ConnectivityReport, WeakeningSet
 from .decompose import DecompositionNode
-from .graphs import DirectedGraph, GraphStats
+from .graphs import DirectedGraph, induced
 
 log = logging.getLogger("svckit")
 
@@ -199,27 +199,13 @@ def _witness_dict(g: DirectedGraph, w: WeakeningSet) -> dict:
     return d
 
 
-def _stats_dict(st: GraphStats) -> dict:
-    return {
-        "n": st.n,
-        "m": st.m,
-        "min_degree": st.min_degree,
-        "max_degree": st.max_degree,
-        "min_in": st.min_in,
-        "max_in": st.max_in,
-        "min_out": st.min_out,
-        "max_out": st.max_out,
-        "diameter": st.diameter,
-    }
-
-
 def report_to_dict(r: ConnectivityReport, g: DirectedGraph) -> dict:
     d = {
         "schema": SCHEMA,
         "kind": "connectivity",
         "n": r.stats.n,
         "m": r.stats.m,
-        "stats": _stats_dict(r.stats),
+        "stats": asdict(r.stats),
         "sigma0": r.sigma0,
         "sigma1": r.sigma1,
         "zeta0_underlying": r.zeta0_underlying,
@@ -230,8 +216,6 @@ def report_to_dict(r: ConnectivityReport, g: DirectedGraph) -> dict:
         "flags": list(r.flags),
     }
     if r.component_reports:
-        from .graphs import induced
-
         comps = []
         for sub_rep, verts in zip(r.component_reports, r.component_vertices):
             sub_g, _ = induced(g, verts)

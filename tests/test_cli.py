@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import svckit as sk
-from svckit.cli import main
+from svckit.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -174,6 +174,13 @@ class TestInProcessEntrypoint:
     def test_main_returns_zero(self, gamma13_file, capsys):
         assert main(["svc", gamma13_file]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_parser_built_once(self, gamma13_file, capsys):
+        _build_parser.cache_clear()
+        assert main(["frobnicate"]) == 1
+        assert main(["svc", gamma13_file]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert _build_parser.cache_info().misses == 1
 
 
 def test_threads_option_does_not_change_output(gamma13_file):

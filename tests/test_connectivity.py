@@ -141,6 +141,13 @@ class TestWeakeningSets:
             with pytest.raises(GraphInputError):
                 sk.weakening_edge_sets(g, limit=limit)
 
+    def test_negative_sigma_rejected(self):
+        g = sk.directed_cycle(6)
+        for enumerate_sets in (sk.weakening_vertex_sets, sk.weakening_edge_sets):
+            with pytest.raises(GraphInputError):
+                enumerate_sets(g, sigma=-1)
+            assert enumerate_sets(g, sigma=0) == []
+
     def test_lexicographic_order(self):
         g = sk.gamma(sk.FamilyParams(2, 3))
         sets = sk.weakening_vertex_sets(g)
@@ -268,6 +275,25 @@ class TestUndirectedConnectivity:
         for a, b in [(1, 3), (2, 3), (1, 4), (3, 4)]:
             g = sk.gamma(sk.FamilyParams(a, b))
             assert sk.undirected_vertex_connectivity(sk.underlying(g)) == b
+
+    def test_no_directed_graph_is_built(self, monkeypatch):
+        # zeta0 and zeta1 read the UndirectedGraph as its own doubled digraph
+        graphs = [sk.underlying(sk.gamma(sk.FamilyParams(2, 4))),
+                  sk.underlying(_first_strong(30, 0.15))]
+        built = []
+        init = sk.DirectedGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sk.DirectedGraph, "__init__", counting_init)
+        for d in graphs:
+            assert sk.undirected_vertex_connectivity(d) >= 1
+            assert sk.undirected_edge_connectivity(d) >= 1
+        assert built == []
+        sk.doubled(graphs[0])  # the patch is live: the reference copy counts
+        assert len(built) == 1
 
 
 def _first_strong(n, p, seed=0):

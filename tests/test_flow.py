@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import svckit as sk
@@ -157,6 +159,17 @@ class TestMonotonicityAndCap:
         ans = sk.edge_max_flow(g, 0, 2, cap=0)
         assert ans.saturated and ans.value == 0
 
+    def test_negative_cap_rejected(self):
+        g = sk.directed_cycle(4)
+        for flow in (
+            functools.partial(sk.edge_max_flow, g),
+            functools.partial(sk.vertex_max_flow, g),
+            EdgeFlowNetwork(g).flow,
+            VertexFlowNetwork(g).flow,
+        ):
+            with pytest.raises(GraphInputError):
+                flow(0, 2, cap=-1)
+
 
 class TestNetworkReuse:
     def test_back_to_back_flows_match_one_shot(self):
@@ -183,3 +196,22 @@ class TestNetworkReuse:
                         assert vnet.flow(s, t, cap) == sk.vertex_max_flow(
                             g, s, t, cap
                         ), f"seed={seed} vertex ({s},{t}) cap={cap}"
+
+
+class TestUndirectedNetworks:
+    def test_same_network_and_flows_as_the_doubled_digraph(self):
+        # an UndirectedGraph builds the network of doubled(d), arc for arc
+        for g, seed in seeded_random_graphs(20, n_lo=3, n_hi=9):
+            d = sk.underlying(g)
+            dd = sk.doubled(d)
+            for network in (VertexFlowNetwork, EdgeFlowNetwork):
+                a, b = network(d), network(dd)
+                assert (a.head, a.to, a.template) == (b.head, b.to, b.template), seed
+            vnet, enet = VertexFlowNetwork(d), EdgeFlowNetwork(d)
+            for s in range(d.n):
+                for t in range(d.n):
+                    if s == t:
+                        continue
+                    assert enet.flow(s, t) == sk.edge_max_flow(dd, s, t), seed
+                    if not d.has_edge(s, t):
+                        assert vnet.flow(s, t) == sk.vertex_max_flow(dd, s, t), seed

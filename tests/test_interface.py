@@ -140,6 +140,14 @@ class TestReportSerialization:
         d = report_to_dict(rep, g)
         assert d["vertex_witnesses"] == [] and d["witness_counts"] is None
 
+    def test_stats_block(self):
+        g = sk.directed_cycle(4)
+        d = report_to_dict(sk.report(g), g)
+        assert to_canonical_json(d["stats"]) == to_canonical_json({
+            "n": 4, "m": 4, "min_degree": 2, "max_degree": 2, "min_in": 1,
+            "max_in": 1, "min_out": 1, "max_out": 1, "diameter": 3,
+        })
+
     def test_canonical_json_reserializes_identically(self):
         g = sk.directed_cycle(5)
         d = report_to_dict(sk.report(g, enumerate_witnesses=True), g)

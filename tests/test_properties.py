@@ -1,6 +1,8 @@
 """Property tests on small random strongly connected digraphs: the
 inequalities between sigma0, sigma1, zeta0, zeta1 and the minimum
-degrees, and that every reported witness breaks strong connectivity."""
+degrees, and that every reported witness breaks strong connectivity;
+and on small connected undirected graphs, zeta0/zeta1 against svc/sec of
+the doubled digraph built as a copy."""
 
 import math
 
@@ -22,6 +24,17 @@ def strong_digraphs(draw, max_n=8):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
     return sk.DirectedGraph(n, arcs)
+
+
+@st.composite
+def connected_graphs(draw, max_n=9):
+    # a random spanning tree in a drawn order, plus any drawn extra edges
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    order = draw(st.permutations(range(n)))
+    edges = {(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return sk.UndirectedGraph(n, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,3 +60,11 @@ def test_every_witness_breaks_strong_connectivity(g):
         return  # one dominator pass per (sigma1 - 1)-subset of edges
     for w in sk.weakening_edge_sets(g, allow_large=True):
         assert not sk.is_strongly_connected(sk.remove_edges(g, w.members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_zeta_matches_the_doubled_copy(d):
+    g = sk.doubled(d)
+    assert sk.undirected_vertex_connectivity(d) == sk.svc(g)
+    assert sk.undirected_edge_connectivity(d) == sk.sec(g)
