@@ -24,6 +24,7 @@ from .connectivity import (
 from .decompose import iterate, sigma_trace, zeta_trace
 from .graphs import DirectedGraph, GraphInputError, PreconditionError, induced
 from .interface import (
+    SCHEMA,
     IngestOptions,
     ParseError,
     export_dot,
@@ -172,11 +173,11 @@ def _run(args) -> int:
                 g, limit=args.limit, allow_large=args.enumerate_large
             )
         payload = {
-            "schema": "svckit-report/1",
+            "schema": SCHEMA,
             "kind": f"weakening-{args.kind}-sets",
             "capped": sets.capped,
             "count": len(sets),
-            "sets": [_witness_dict(g, w) for w in sets],
+            "sets": [_witness_dict(w, g.vertex_labels) for w in sets],
         }
         sys.stdout.write(to_canonical_json(payload))
         return 0

@@ -17,11 +17,12 @@ dominators of G - P and of its reverse from one root (Italiano, Laura &
 Santaroni 2012), and each one above max(P) is a candidate to complete P,
 as is the root. Edge sets use the edge-split graph, whose midpoint
 articulation points are the strong bridges. Every candidate is settled,
-and its SCC sizes counted, by one Tarjan pass over the same adjacency
-lists with the removed nodes masked, so no graph is ever rebuilt. This
-is the k = 2 reduction {v} + SAP(G - v) of Georgiadis, Italiano, Laura
-& Parotsidis (2015), applied to every prefix: C(n, k-1) dominator
-passes instead of C(n, k) graph builds and SCC checks.
+and its SCC sizes counted, by one Kosaraju pass over the same adjacency
+lists with the removed nodes masked, built on the dominator pass's own
+DFS, so no graph is ever rebuilt. This is the k = 2 reduction
+{v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
+applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
+graph builds and SCC checks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .graphs import (
     underlying,
 )
 from .flow import EdgeFlowNetwork, VertexFlowNetwork
-from .scc import _components, is_strongly_connected, scc
+from .scc import _components, _postorder, is_strongly_connected, scc
 
 
 @dataclass(frozen=True)
@@ -183,25 +184,6 @@ def _check_limit(limit: Optional[int]) -> None:
         raise GraphInputError(f"limit must be >= 1, got {limit}")
 
 
-def _postorder(root: int, succ: Sequence[Sequence[int]], dead: bytearray) -> List[int]:
-    # iterative DFS over the nodes not marked in `dead`
-    seen = bytearray(dead)
-    seen[root] = 1
-    order: List[int] = []
-    stack = [(root, iter(succ[root]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if not seen[w]:
-                seen[w] = 1
-                stack.append((w, iter(succ[w])))
-                break
-        else:
-            stack.pop()
-            order.append(v)
-    return order
-
-
 def _dominators(
     root: int,
     succ: Sequence[Sequence[int]],
@@ -212,7 +194,7 @@ def _dominators(
     """Non-trivial dominators other than ``root`` in the flow graph of the
     live nodes from ``root`` (iterative Cooper-Harvey-Kennedy on a reverse
     postorder), or None if some of the ``size`` live nodes is unreachable."""
-    order = _postorder(root, succ, dead)
+    order = _postorder(root, succ, bytearray(dead))
     if len(order) < size:
         return None
     po = [0] * len(succ)
@@ -300,9 +282,9 @@ def _weakening_sets(
     pass's root when it is above max(P) too; when the dominator pass does
     not apply (g - P has fewer than 3 nodes or is not strongly connected)
     it tries every s above max(P). Each s is marked dead and settled by
-    one masked SCC pass, which also gives the SCC sizes. Edges are the
-    midpoints n + i of the edge split graph, rooted at vertex 0, which is
-    never removed; only nodes < n count towards the sizes.
+    one masked Kosaraju pass, which also gives the SCC sizes. Edges are
+    the midpoints n + i of the edge split graph, rooted at vertex 0, which
+    is never removed; only nodes < n count towards the sizes.
     """
     out = WitnessList()
     if k < 0:
@@ -330,7 +312,7 @@ def _weakening_sets(
             candidates = [root] + cuts if root >= lo else cuts
         for c in candidates:
             dead[c] = 1
-            sizes = [sum(v < g.n for v in comp) for comp in _components(succ, dead)]
+            sizes = [sum(v < g.n for v in comp) for comp in _components(succ, pred, dead)]
             dead[c] = 0
             sizes = sorted((x for x in sizes if x), reverse=True)
             if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected

@@ -46,11 +46,12 @@ def _build(
     selection: str,
     enumerate_large: bool,
 ) -> DecompositionNode:
-    h, mapping = induced(g, vertices)
-    back = {new: old for old, new in mapping.items()}
+    # vertices is ascending and induced keeps relative order, so local id
+    # i of h is vertices[i] and ascending local sets map to ascending ones
+    h, _ = induced(g, vertices)
     k = svc(h)
     node = DecompositionNode(
-        vertices=tuple(sorted(vertices)),
+        vertices=vertices,
         depth=depth,
         sigma0=k,
         zeta0_underlying=undirected_vertex_connectivity(underlying(h)),
@@ -76,7 +77,7 @@ def _build(
             node.witnesses = [
                 WeakeningSet(
                     kind="vertex",
-                    members=tuple(sorted(back[i] for i in w.members)),
+                    members=tuple(vertices[i] for i in w.members),
                     resulting_scc_sizes=w.resulting_scc_sizes,
                 )
                 for w in witnesses
@@ -91,17 +92,18 @@ def _build(
     dead = bytearray(h.n)
     for v in local_members:
         dead[v] = 1
-    parts = _components([h.successors(v) for v in range(h.n)], dead)
+    parts = _components([h.successors(v) for v in range(h.n)],
+                        [h.predecessors(v) for v in range(h.n)], dead)
     sizes = tuple(sorted((len(c) for c in parts), reverse=True))
     node.chosen_set = WeakeningSet(
         kind="vertex",
-        members=tuple(sorted(back[i] for i in local_members)),
+        members=tuple(vertices[i] for i in local_members),
         resulting_scc_sizes=sizes,
     )
     node.condensation_sizes = sizes
 
     # deterministic child order: by descending size then smallest orig id
-    comps = [tuple(sorted(back[v] for v in comp)) for comp in parts if len(comp) >= 2]
+    comps = [tuple(vertices[v] for v in sorted(comp)) for comp in parts if len(comp) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))
     for comp in comps:
         node.children.append(

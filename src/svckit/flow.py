@@ -128,15 +128,13 @@ class VertexFlowNetwork(_Network):
             raise GraphInputError(
                 f"edge ({s}, {t}) present: no separating vertex cut exists"
             )
-        caps = self.template[:]
-        caps[2 * s] = caps[2 * t] = g.n  # internal arcs of s and t
-        value, parent = self._max_flow(caps, 2 * s + 1, 2 * t, cap)
+        # from s_out to t_in: no path enters s_in or leaves t_in, so the
+        # internal arcs of s and t never carry flow or join the cut
+        value, parent = self._max_flow(self.template[:], 2 * s + 1, 2 * t, cap)
         if parent is None:
             return FlowAnswer(value=value, cut=(), saturated=True)
         cut = tuple(
-            w
-            for w in range(g.n)
-            if w != s and w != t and parent[2 * w] != -1 and parent[2 * w + 1] == -1
+            w for w in range(g.n) if parent[2 * w] != -1 and parent[2 * w + 1] == -1
         )
         return FlowAnswer(value=value, cut=cut, saturated=False)
 

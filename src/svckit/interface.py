@@ -14,11 +14,11 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
 
 from .connectivity import ConnectivityReport, WeakeningSet
 from .decompose import DecompositionNode
-from .graphs import DirectedGraph, induced
+from .graphs import DirectedGraph
 
 log = logging.getLogger("svckit")
 
@@ -186,20 +186,26 @@ def write_edgelist(g: DirectedGraph, out: TextIO) -> None:
             out.write(f"{g.label(v)}\n")
 
 
-def _witness_dict(g: DirectedGraph, w: WeakeningSet) -> dict:
+def _witness_dict(w: WeakeningSet, labels: Optional[Mapping[int, str]]) -> dict:
+    # labels: the graph's vertex_labels; an unlabelled vertex is its id
     d: dict = {"kind": w.kind, "resulting_scc_sizes": list(w.resulting_scc_sizes)}
     if w.kind == "vertex":
         d["members"] = list(w.members)
-        if g.vertex_labels is not None:
-            d["labels"] = [g.label(v) for v in w.members]
+        if labels is not None:
+            d["labels"] = [labels.get(v, str(v)) for v in w.members]
     else:
         d["members"] = [list(e) for e in w.members]
-        if g.vertex_labels is not None:
-            d["labels"] = [[g.label(u), g.label(v)] for u, v in w.members]
+        if labels is not None:
+            d["labels"] = [[labels.get(u, str(u)), labels.get(v, str(v))]
+                           for u, v in w.members]
     return d
 
 
 def report_to_dict(r: ConnectivityReport, g: DirectedGraph) -> dict:
+    return _report_dict(r, g.vertex_labels)
+
+
+def _report_dict(r: ConnectivityReport, labels: Optional[Mapping[int, str]]) -> dict:
     d = {
         "schema": SCHEMA,
         "kind": "connectivity",
@@ -211,15 +217,17 @@ def report_to_dict(r: ConnectivityReport, g: DirectedGraph) -> dict:
         "zeta0_underlying": r.zeta0_underlying,
         "zeta1_underlying": r.zeta1_underlying,
         "witness_counts": list(r.witness_counts) if r.witness_counts else None,
-        "vertex_witnesses": [_witness_dict(g, w) for w in r.vertex_witnesses],
-        "edge_witnesses": [_witness_dict(g, w) for w in r.edge_witnesses],
+        "vertex_witnesses": [_witness_dict(w, labels) for w in r.vertex_witnesses],
+        "edge_witnesses": [_witness_dict(w, labels) for w in r.edge_witnesses],
         "flags": list(r.flags),
     }
     if r.component_reports:
         comps = []
         for sub_rep, verts in zip(r.component_reports, r.component_vertices):
-            sub_g, _ = induced(g, verts)
-            cd = report_to_dict(sub_rep, sub_g)
+            # vertex i of the component's subgraph is verts[i]
+            sub_labels = None if labels is None else {
+                i: labels[v] for i, v in enumerate(verts) if v in labels}
+            cd = _report_dict(sub_rep, sub_labels)
             cd["vertices"] = list(verts)
             comps.append(cd)
         d["components"] = comps
@@ -230,31 +238,25 @@ def tree_to_dict(node: DecompositionNode, g: DirectedGraph) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "decomposition",
-        "root": _node_dict(node, g),
+        "root": _node_dict(node, g.vertex_labels),
     }
 
 
-def _node_dict(node: DecompositionNode, g: DirectedGraph) -> dict:
-    if node.witnesses is not None:
-        return {
-            **_node_dict_base(node, g),
-            "witnesses": [_witness_dict(g, w) for w in node.witnesses],
-        }
-    return _node_dict_base(node, g)
-
-
-def _node_dict_base(node: DecompositionNode, g: DirectedGraph) -> dict:
-    return {
+def _node_dict(node: DecompositionNode, labels: Optional[Mapping[int, str]]) -> dict:
+    d = {
         "vertices": list(node.vertices),
         "depth": node.depth,
         "sigma0": node.sigma0,
         "zeta0_underlying": node.zeta0_underlying,
-        "chosen_set": _witness_dict(g, node.chosen_set) if node.chosen_set else None,
+        "chosen_set": _witness_dict(node.chosen_set, labels) if node.chosen_set else None,
         "witness_count": node.witness_count,
         "condensation_sizes": list(node.condensation_sizes),
         "flags": list(node.flags),
-        "children": [_node_dict(c, g) for c in node.children],
+        "children": [_node_dict(c, labels) for c in node.children],
     }
+    if node.witnesses is not None:
+        d["witnesses"] = [_witness_dict(w, labels) for w in node.witnesses]
+    return d
 
 
 def to_canonical_json(d: dict) -> str:

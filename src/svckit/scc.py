@@ -1,10 +1,12 @@
-"""Strongly connected components (iterative Tarjan) and the condensation DAG.
+"""Strongly connected components (Kosaraju-Sharir) and the condensation DAG.
 
-Traversal order is pinned to ascending vertex ids, so output is
-deterministic for a given graph. Components come out in reverse
-topological order of the condensation, which is what Tarjan emits.
-The pass runs over adjacency lists with a dead-node mask, so the SCCs
-of a graph minus some nodes come without rebuilding the graph.
+Both passes are one iterative postorder DFS, the same loop the dominator
+pass of ``connectivity`` runs. Traversal order is pinned to ascending
+vertex ids and list order of successors, so output is deterministic for a
+given graph. Components come out in reverse topological order of the
+condensation, the order in which Tarjan's algorithm would emit them. The
+pass runs over adjacency lists with a dead-node mask, so the SCCs of a
+graph minus some nodes come without rebuilding the graph.
 """
 
 from __future__ import annotations
@@ -27,63 +29,51 @@ class Condensation:
     sizes: List[int]              # component index -> vertex count
 
 
-def _components(succ: Sequence[Sequence[int]], dead: bytearray) -> List[List[int]]:
-    """SCCs of the subgraph on the nodes not marked in ``dead``, as
-    unsorted node lists in the order iterative Tarjan emits them (reverse
-    topological). Nodes and successors are visited in list order."""
-    n = len(succ)
-    index = [0 if dead[v] else -1 for v in range(n)]  # dead: seen, off stack
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    components: List[List[int]] = []
-    counter = 0
+def _postorder(root: int, succ: Sequence[Sequence[int]], seen: bytearray) -> List[int]:
+    """The nodes an iterative DFS from ``root`` reaches over ``succ``
+    without entering a node marked in ``seen``, in postorder. Marks them
+    in ``seen``; successors are visited in list order."""
+    seen[root] = 1
+    order: List[int] = []
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append((w, iter(succ[w])))
+                break
+        else:
+            stack.pop()
+            order.append(v)
+    return order
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # work entries are (node, position in its successor list)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            out = succ[v]
-            while pi < len(out):
-                w = out[pi]
-                pi += 1
-                if index[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+
+def _components(
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], dead: bytearray
+) -> List[List[int]]:
+    """SCCs of the subgraph on the nodes not marked in ``dead``, as
+    unsorted node lists in reverse topological order. Pass 1 records the
+    finish order of a DFS over ``succ`` from every live root, ascending;
+    pass 2 collects, for each unseen node in reverse finish order, its DFS
+    tree over ``pred``. That node is its component's first-discovered one,
+    so pass 2 meets the components in decreasing finish time of it, the
+    reverse of the order Tarjan's algorithm emits them in."""
+    seen = bytearray(dead)
+    finish: List[int] = []
+    for root in range(len(succ)):
+        if not seen[root]:
+            finish += _postorder(root, succ, seen)
+    seen = bytearray(dead)
+    components = [_postorder(v, pred, seen) for v in reversed(finish) if not seen[v]]
+    components.reverse()
     return components
 
 
 def scc(g: DirectedGraph) -> SccPartition:
-    components = _components([g.successors(v) for v in range(g.n)], bytearray(g.n))
+    succ = [g.successors(v) for v in range(g.n)]
+    pred = [g.predecessors(v) for v in range(g.n)]
+    components = _components(succ, pred, bytearray(g.n))
     comp_of = [-1] * g.n
     for i, comp in enumerate(components):
         comp.sort()

@@ -1,13 +1,13 @@
 """Shared test utilities: seeded graph corpora, tiny brute-force
-reachability helpers kept independent of the package's flow/scc code, and
-the large-n references past the oracle's size limit: the literal subset
-loop for weakening-set enumeration and the Even-Tarjan source scan for
-sigma0."""
+reachability helpers kept independent of the package's flow/scc code, an
+iterative Tarjan that pins the order of SCCs, and the large-n references
+past the oracle's size limit: the literal subset loop for weakening-set
+enumeration and the Even-Tarjan source scan for sigma0."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import svckit as sk
 from svckit.flow import VertexFlowNetwork
@@ -55,6 +55,58 @@ def reaches(n: int, edges: Iterable[Tuple[int, int]], s: int, t: int) -> bool:
                 seen.add(v)
                 stack.append(v)
     return t in seen
+
+
+def reference_components(succ: Sequence[Sequence[int]], dead: bytearray) -> List[List[int]]:
+    """SCCs of the nodes not marked in ``dead`` by iterative Tarjan, in the
+    order it emits them (reverse topological): roots ascending, successors
+    in list order. The reference for the order of ``scc._components``."""
+    n = len(succ)
+    index = [0 if dead[v] else -1 for v in range(n)]  # dead: seen, off stack
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        # work entries are (node, position in its successor list)
+        work = [(root, 0)]
+        while work:
+            v, pi = work.pop()
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            out = succ[v]
+            while pi < len(out):
+                w = out[pi]
+                pi += 1
+                if index[w] == -1:
+                    work.append((v, pi))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return components
 
 
 def brute_min_edge_cut(g: sk.DirectedGraph, s: int, t: int) -> int:

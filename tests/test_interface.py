@@ -170,6 +170,46 @@ class TestReportSerialization:
 
         assert depth(d["root"]) == tree_depth(tree)
 
+    @pytest.mark.parametrize("labels", [
+        {v: f"v{v}" for v in range(8)},   # full
+        {1: "a", 4: "d", 6: "f"},         # partial
+        None,
+    ], ids=["full", "partial", "none"])
+    def test_components_labelled_without_subgraphs(self, labels, monkeypatch):
+        # two nontrivial SCCs, {1, 3, 5} -> {0, 2, 4, 6}, and a singleton 7
+        edges = [(1, 3), (3, 5), (5, 1), (0, 2), (2, 4), (4, 6), (6, 0),
+                 (2, 6), (5, 0), (7, 1)]
+        g = sk.DirectedGraph(8, edges, labels)
+        rep = sk.report(g, enumerate_witnesses=True)
+        assert rep.component_vertices == [[0, 2, 4, 6], [1, 3, 5]]
+        # reference: each component serialized against its induced subgraph
+        want = report_to_dict(rep, g)
+        want["components"] = []
+        for sub_rep, verts in zip(rep.component_reports, rep.component_vertices):
+            cd = report_to_dict(sub_rep, sk.induced(g, verts)[0])
+            cd["vertices"] = verts
+            want["components"].append(cd)
+
+        built = []
+        init = sk.DirectedGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sk.DirectedGraph, "__init__", counting_init)
+        got = report_to_dict(rep, g)
+        assert built == []
+        assert to_canonical_json(got) == to_canonical_json(want)
+        small = got["components"][1]["vertex_witnesses"]
+        if labels is None:
+            assert all("labels" not in w for w in small)
+        elif len(labels) == 3:
+            # an unlabelled component vertex is printed as its local id
+            assert [w["labels"] for w in small] == [["a"], ["1"], ["2"]]
+        else:
+            assert [w["labels"] for w in small] == [["v1"], ["v3"], ["v5"]]
+
 
 class TestDotExport:
     def test_two_cycle(self):

@@ -7,7 +7,7 @@ from svckit.connectivity import _adjacency
 from svckit.oracle import oracle_scc_ids
 from svckit.scc import _components
 
-from helpers import seeded_random_graphs
+from helpers import reference_components, seeded_random_graphs
 
 
 def test_directed_cycle_single_component():
@@ -116,12 +116,13 @@ def test_masked_pass_matches_rebuilt_graph():
     rng = random.Random(3)
     for g, seed in seeded_random_graphs(60, n_hi=12):
         succ = [g.successors(v) for v in range(g.n)]
+        pred = [g.predecessors(v) for v in range(g.n)]
         for count in sorted({0, rng.randint(0, g.n), g.n - 1, g.n}):
             removed = rng.sample(range(g.n), count)
             h, mapping = sk.remove_vertices(g, removed)
             back = {new: old for old, new in mapping.items()}
             want = [[back[v] for v in comp] for comp in sk.scc(h).components]
-            got = [sorted(comp) for comp in _components(succ, _mask(g.n, removed))]
+            got = [sorted(comp) for comp in _components(succ, pred, _mask(g.n, removed))]
             assert got == want, (seed, removed)
 
 
@@ -130,13 +131,33 @@ def test_edge_split_pass_matches_removed_edges():
     # restricted to the vertices are those of scc(g - S)
     rng = random.Random(5)
     for g, seed in seeded_random_graphs(60, n_hi=12):
-        items, offset, succ, _ = _adjacency(g, "edge")
+        items, offset, succ, pred = _adjacency(g, "edge")
         for count in sorted({0, rng.randint(0, g.m), g.m}):
             removed = rng.sample(range(g.m), count)
             dead = _mask(len(succ), [offset + i for i in removed])
-            got = [sorted(v for v in comp if v < g.n) for comp in _components(succ, dead)]
+            got = [sorted(v for v in comp if v < g.n)
+                   for comp in _components(succ, pred, dead)]
             want = sk.scc(sk.remove_edges(g, [items[i] for i in removed])).components
             assert [c for c in got if c] == want, (seed, removed)
+
+
+def test_component_order_matches_tarjan():
+    # Kosaraju's pass 2 meets the components in decreasing finish time of
+    # their first-discovered node; reversed, that is Tarjan's emit order.
+    # Masks: none, a random set, one live node and all nodes dead, on the
+    # graph and on its edge-split graph
+    rng = random.Random(11)
+    for g, seed in seeded_random_graphs(60, n_hi=12):
+        for kind in ("vertex", "edge"):
+            _, _, succ, pred = _adjacency(g, kind)
+            size = len(succ)
+            live = rng.randrange(size)
+            for dead_nodes in ([], rng.sample(range(size), rng.randint(0, size)),
+                               [v for v in range(size) if v != live], range(size)):
+                dead = _mask(size, dead_nodes)
+                got = [sorted(c) for c in _components(succ, pred, dead)]
+                want = [sorted(c) for c in reference_components(succ, dead)]
+                assert got == want, (seed, kind, list(dead_nodes))
 
 
 def test_matches_networkx_past_oracle():
