@@ -8,8 +8,9 @@ computed from unit-capacity max-flow on one flow network per graph, with
 pruning: a running best value caps every flow and a scan stops at 1. The
 vertex case (sigma0, and zeta0 on the underlying graph read as its own
 doubled digraph) runs only one pivot vertex's pairs, the
-Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n})
-(a minimum cut delta+(S) is crossed by some consecutive pair leaving S).
+Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic
+order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut delta+(S)
+is crossed by some consecutive pair leaving S).
 
 Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
 time: the strong articulation points of G - P are the non-trivial
@@ -229,26 +230,26 @@ def _dominators(
     return doms
 
 
-def _cut_points(
+def _candidates(
     succ: Sequence[Sequence[int]],
     pred: Sequence[Sequence[int]],
     dead: bytearray,
-    size: int,
-    root: int,
     lo: int,
-) -> Optional[List[int]]:
-    """The nodes >= ``lo`` other than ``root`` whose removal leaves the
-    live subgraph H (``size`` >= 3 nodes) not strongly connected,
-    ascending, or None if H is not strongly connected. These are the
-    non-trivial dominators of H and of its reverse from root (Italiano,
-    Laura & Santaroni 2012)."""
-    fwd = _dominators(root, succ, pred, dead, size)
-    if fwd is None:
-        return None
-    rev = _dominators(root, pred, succ, dead, size)
+) -> Sequence[int]:
+    """Ascending nodes >= ``lo`` (all of which must be live) that include
+    every node whose removal leaves the live subgraph H not strongly
+    connected or with one vertex node: H's smallest node, the root, when
+    it is ``lo``, then the non-trivial dominators >= ``lo`` of H and of its
+    reverse from the root (Italiano, Laura & Santaroni 2012); or every
+    node >= ``lo`` when H has fewer than 3 nodes or is not strongly
+    connected."""
+    root, size = dead.index(0), dead.count(0)
+    fwd = _dominators(root, succ, pred, dead, size) if size >= 3 else None
+    rev = None if fwd is None else _dominators(root, pred, succ, dead, size)
     if rev is None:
-        return None
-    return sorted(c for c in fwd | rev if c >= lo)
+        return range(lo, len(succ))
+    cuts = sorted(c for c in fwd | rev if c >= lo)
+    return [root] + cuts if root == lo else cuts  # root <= lo
 
 
 def _adjacency(
@@ -270,29 +271,34 @@ def _adjacency(
 
 
 def _weakening_sets(
-    g: DirectedGraph, kind: str, k: int, limit: Optional[int]
+    g: DirectedGraph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
     """Every k-subset W of vertices (or of sorted edges) whose removal
     leaves a graph with one vertex or one that is not strongly connected,
-    in lexicographic order.
+    in lexicographic order. k >= 3 raises EnumerationGuardError unless
+    ``allow_large``.
 
     W is such a set exactly when its last member s breaks the strong
     connectivity of g - (W - {s}). So each (k-1)-prefix P tries as s the
-    cut points of g - P above max(P) from one dominator pass, and the
-    pass's root when it is above max(P) too; when the dominator pass does
-    not apply (g - P has fewer than 3 nodes or is not strongly connected)
-    it tries every s above max(P). Each s is marked dead and settled by
-    one masked Kosaraju pass, which also gives the SCC sizes. Edges are
-    the midpoints n + i of the edge split graph, rooted at vertex 0, which
-    is never removed; only nodes < n count towards the sizes.
+    ``_candidates`` above max(P): the cut points of g - P from one
+    dominator pass rooted at its smallest remaining node, and that root
+    when it is above max(P) too, or every s above max(P) when the pass
+    does not apply. Each s is marked dead and settled by one masked
+    Kosaraju pass, which also gives the SCC sizes. Edges are the midpoints
+    n + i of the edge split graph, so the root is vertex 0, which is never
+    removed; only nodes < n count towards the sizes.
     """
+    if k >= 3 and not allow_large:
+        name = "sigma0" if kind == "vertex" else "sigma1"
+        raise EnumerationGuardError(
+            f"{name}={k}: subset enumeration needs allow_large=True"
+        )
     out = WitnessList()
     if k < 0:
         raise GraphInputError(f"sigma must be non-negative, got {k}")
     if k == 0:
         return out
     items, offset, succ, pred = _adjacency(g, kind)
-    size = len(succ) - (k - 1)
     for prefix in itertools.combinations(range(len(items)), k - 1):
         lo = offset + (prefix[-1] + 1 if prefix else 0)
         if lo >= len(succ):
@@ -300,17 +306,7 @@ def _weakening_sets(
         dead = bytearray(len(succ))
         for i in prefix:
             dead[offset + i] = 1
-        cuts = None
-        if size >= 3:
-            # root at a live node that is not a candidate when there is one
-            root = next((v for v in range(lo) if not dead[v]), lo)
-            cuts = _cut_points(succ, pred, dead, size, root, lo)
-        if cuts is None:
-            candidates: Sequence[int] = range(lo, len(succ))
-        else:
-            # root == lo when it is a candidate, so the order stays ascending
-            candidates = [root] + cuts if root >= lo else cuts
-        for c in candidates:
+        for c in _candidates(succ, pred, dead, lo):
             dead[c] = 1
             sizes = [sum(v < g.n for v in comp) for comp in _components(succ, pred, dead)]
             dead[c] = 0
@@ -342,11 +338,7 @@ def weakening_vertex_sets(
     _check_limit(limit)
     _require_strong(g)
     k = svc(g) if sigma is None else sigma
-    if k >= 3 and not allow_large:
-        raise EnumerationGuardError(
-            f"sigma0={k}: subset enumeration needs allow_large=True"
-        )
-    return _weakening_sets(g, "vertex", k, limit)
+    return _weakening_sets(g, "vertex", k, limit, allow_large)
 
 
 def weakening_edge_sets(
@@ -366,11 +358,7 @@ def weakening_edge_sets(
     _check_limit(limit)
     _require_strong(g)
     k = sec(g) if sigma is None else sigma
-    if k >= 3 and not allow_large:
-        raise EnumerationGuardError(
-            f"sigma1={k}: subset enumeration needs allow_large=True"
-        )
-    return _weakening_sets(g, "edge", k, limit)
+    return _weakening_sets(g, "edge", k, limit, allow_large)
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
@@ -407,7 +395,7 @@ def report(
     """
     _check_limit(limit)
     st = stats(g)
-    if g.n < 2 or not is_strongly_connected(g):
+    if g.n < 2 or st.diameter is None:  # not strongly connected
         flags = ["not-strongly-connected"] if g.n >= 2 else ["degenerate"]
         rep = ConnectivityReport(
             sigma0=None,
@@ -442,12 +430,8 @@ def report(
     counts: Optional[Tuple[int, int]] = None
     if enumerate_witnesses:
         try:
-            vw = weakening_vertex_sets(
-                g, limit=limit, allow_large=allow_large, sigma=s0
-            )
-            ew = weakening_edge_sets(
-                g, limit=limit, allow_large=allow_large, sigma=s1
-            )
+            vw = _weakening_sets(g, "vertex", s0, limit, allow_large)
+            ew = _weakening_sets(g, "edge", s1, limit, allow_large)
             counts = (len(vw), len(ew))
             if vw.capped or ew.capped:
                 flags.append("enumeration-capped")

@@ -15,10 +15,10 @@ from typing import List, Optional, Tuple
 from .connectivity import (
     EnumerationGuardError,
     WeakeningSet,
+    _weakening_sets,
     svc,
     undirected_vertex_connectivity,
     vertex_pair_scan,
-    weakening_vertex_sets,
 )
 from .graphs import DirectedGraph, PreconditionError, induced, underlying
 from .scc import _components, is_strongly_connected
@@ -68,7 +68,7 @@ def _build(
 
     witnesses = None
     try:
-        witnesses = weakening_vertex_sets(h, allow_large=enumerate_large, sigma=k)
+        witnesses = _weakening_sets(h, "vertex", k, None, enumerate_large)
     except EnumerationGuardError:
         node.flags.append("witnesses-not-enumerated")
     if witnesses is not None:

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
 
 from .connectivity import ConnectivityReport, WeakeningSet
 from .decompose import DecompositionNode
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, GraphInputError
 
 log = logging.getLogger("svckit")
 
@@ -175,15 +175,23 @@ def _assemble(
 
 def write_edgelist(g: DirectedGraph, out: TextIO) -> None:
     """Deterministic edge-list dump using vertex labels; isolated
-    vertices get single-token lines so reading back loses nothing."""
+    vertices get single-token lines so reading back loses nothing. A name
+    that is empty, holds whitespace or ``#``, or repeats another vertex's
+    raises GraphInputError before anything is written."""
+    names = [g.label(v) for v in range(g.n)]
+    seen = set()
+    for v, name in enumerate(names):
+        if name.split() != [name] or "#" in name or name in seen:
+            raise GraphInputError(f"vertex {v}: name {name!r} is not a unique edge-list token")
+        seen.add(name)
     touched = set()
     for u, v in g.sorted_edges():
-        out.write(f"{g.label(u)} {g.label(v)}\n")
+        out.write(f"{names[u]} {names[v]}\n")
         touched.add(u)
         touched.add(v)
     for v in range(g.n):
         if v not in touched:
-            out.write(f"{g.label(v)}\n")
+            out.write(f"{names[v]}\n")
 
 
 def _witness_dict(w: WeakeningSet, labels: Optional[Mapping[int, str]]) -> dict:
@@ -291,7 +299,8 @@ def export_dot(g: DirectedGraph, highlight: Optional[WeakeningSet] = None) -> st
             he = {tuple(e) for e in highlight.members}
     lines = ["digraph G {"]
     for v in range(g.n):
-        attrs = [f'label="{g.label(v)}"']
+        label = g.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in hv:
             attrs.append("style=filled")
             attrs.append("fillcolor=orangered")

@@ -113,6 +113,15 @@ class TestWeakening:
         assert "Traceback" not in r.stderr
         assert "--enumerate-large" in r.stderr and "allow_large" not in r.stderr
 
+    def test_edge_guard_names_sigma1(self, tmp_path):
+        # two bidirected K5 sharing vertices 3 and 4: sigma0 = 2, sigma1 = 4
+        f = tmp_path / "bowtie.edges"
+        blocks = (range(5), range(3, 8))
+        f.write_text("".join(f"{u} {v}\n" for b in blocks for u in b for v in b if u != v))
+        r = run_cli(["weakening", str(f), "--kind", "edge"])
+        assert r.returncode == 3
+        assert "sigma1=4" in r.stderr and "--enumerate-large" in r.stderr
+
 
 class TestIterate:
     def test_traces_printed(self, gamma13_file, tmp_path):

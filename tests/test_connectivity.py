@@ -1,11 +1,13 @@
 import functools
+import importlib
 import itertools
 import math
+import random
 
 import pytest
 
 import svckit as sk
-from svckit.connectivity import EnumerationGuardError
+from svckit.connectivity import EnumerationGuardError, _adjacency, _candidates
 from svckit.flow import VertexFlowNetwork
 from svckit.graphs import GraphInputError, PreconditionError
 from svckit.oracle import (
@@ -16,8 +18,13 @@ from svckit.oracle import (
     oracle_zeta0,
 )
 
-from helpers import reference_svc, reference_weakening_sets, strongly_connected_corpus
-
+from helpers import (
+    reference_components,
+    reference_svc,
+    reference_weakening_sets,
+    seeded_random_graphs,
+    strongly_connected_corpus,
+)
 
 class TestLocalSigma:
     def test_directed_cycle(self):
@@ -161,6 +168,54 @@ class TestWeakeningSets:
             sk.weakening_vertex_sets(g)
         sets = sk.weakening_vertex_sets(g, allow_large=True)
         assert len(sets) == 5  # every 4-subset leaves one vertex
+
+    def test_candidates_include_every_completion(self):
+        # dead masks drawn as the enumerator draws them: dead nodes only
+        # below lo, and only midpoints on the edge-split graph. c >= lo
+        # completes the prefix unless exactly one SCC of the rest holds
+        # vertex nodes and it holds more than one
+        rng = random.Random(13)
+        tiny = broken = 0
+        for g, seed in seeded_random_graphs(120, n_hi=12):
+            for kind in ("vertex", "edge"):
+                _, offset, succ, pred = _adjacency(g, kind)
+                size = len(succ)
+                if offset >= size:
+                    continue
+                draws = [(rng.randrange(offset, size), rng.random()) for _ in range(4)]
+                draws += [(size - 1, 1.0), (max(offset, size - 2), 1.0)]
+                for lo, p in draws:
+                    dead = bytearray(size)
+                    for v in range(offset, lo):
+                        dead[v] = rng.random() < p
+                    live = dead.count(0)
+                    tiny += live <= 2
+                    broken += live >= 3 and len(reference_components(succ, dead)) > 1
+                    got = list(_candidates(succ, pred, dead, lo))
+                    assert got == sorted(set(got)) and all(c >= lo for c in got)
+                    for c in range(lo, size):
+                        dead[c] = 1
+                        held = [x for x in (sum(v < g.n for v in comp)
+                                            for comp in reference_components(succ, dead)) if x]
+                        dead[c] = 0
+                        if not (len(held) == 1 and held[0] > 1):
+                            assert c in got, (seed, kind, lo, list(dead), c)
+        assert tiny and broken
+
+    def test_guard_text_in_report_flags(self):
+        rep = sk.report(sk.doubled_complete(5), enumerate_witnesses=True)
+        assert rep.flags == [
+            "enumeration-skipped: sigma0=4: subset enumeration needs allow_large=True"
+        ]
+        # two bidirected K5 sharing vertices 3 and 4: sigma0 = 2, sigma1 = 4
+        blocks = (range(5), range(3, 8))
+        bowtie = sk.DirectedGraph(8, {(u, v) for b in blocks for u in b for v in b if u != v})
+        rep = sk.report(bowtie, enumerate_witnesses=True)
+        assert (rep.sigma0, rep.sigma1) == (2, 4)
+        assert rep.flags == [
+            "enumeration-skipped: sigma1=4: subset enumeration needs allow_large=True"
+        ]
+        assert rep.vertex_witnesses == [] and rep.witness_counts is None
 
     def test_returned_iff_weakening_exhaustive(self):
         # every same-size subset NOT returned keeps the graph strongly
@@ -485,6 +540,24 @@ class TestReport:
         assert len(rep.component_reports) == 2
         sizes = sorted(len(v) for v in rep.component_vertices)
         assert sizes == [2, 3]
+
+    def test_five_unmasked_scc_passes(self, monkeypatch):
+        # svc, sec, zeta0, zeta1 and the sec inside zeta1 each check their
+        # own input; report and the enumeration add no pass of their own
+        modules = [importlib.import_module(f"svckit.{name}")
+                   for name in ("scc", "connectivity", "decompose")]
+        real = modules[0]._components
+        unmasked = []
+
+        def counting(succ, pred, dead):
+            if not any(dead):
+                unmasked.append(dead)
+            return real(succ, pred, dead)
+
+        for module in modules:
+            monkeypatch.setattr(module, "_components", counting)
+        sk.report(sk.gamma(sk.FamilyParams(2, 3)), enumerate_witnesses=True)
+        assert len(unmasked) == 5
 
     def test_matches_oracle(self):
         for g, seed in strongly_connected_corpus(15, n_lo=3, n_hi=7):

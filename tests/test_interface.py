@@ -4,6 +4,7 @@ import json
 import pytest
 
 import svckit as sk
+from svckit.graphs import GraphInputError
 from svckit.interface import (
     IngestOptions,
     ParseError,
@@ -89,6 +90,30 @@ class TestEdgelistIngestion:
         g2 = read_graph(f)
         assert g2.n == 3
         assert "lonely" in g2.vertex_labels.values()
+
+    @pytest.mark.parametrize("n, edges, labels, bad", [
+        (2, [(0, 1), (1, 0)], {0: "x y", 1: "z"}, 0),  # "x y z": z read as a weight
+        (2, [(0, 1)], {0: "a", 1: "a"}, 1),
+        (2, [(0, 1)], {0: "1"}, 1),  # unlabelled vertex 1 is written as 1
+    ])
+    def test_unwritable_names_rejected(self, n, edges, labels, bad):
+        buf = io.StringIO()
+        with pytest.raises(GraphInputError, match=f"vertex {bad}:"):
+            write_edgelist(sk.DirectedGraph(n, edges, labels), buf)
+        assert buf.getvalue() == ""
+
+    def test_unwritable_graphml_ids_rejected(self, tmp_path):
+        f = tmp_path / "g.graphml"
+        f.write_text(TestGraphmlIngestion.GOOD.replace('"a"', '"a b"').replace('"c"', '"c#1"'))
+        g = read_graph(f)
+        assert [g.label(v) for v in range(g.n)] == ["a b", "b", "c#1"]
+        buf = io.StringIO()
+        with pytest.raises(GraphInputError, match="vertex 0:"):
+            write_edgelist(g, buf)
+        g = sk.DirectedGraph(3, g.edges, {0: "a", 1: "b", 2: "c#1"})
+        with pytest.raises(GraphInputError, match="vertex 2:"):
+            write_edgelist(g, buf)
+        assert buf.getvalue() == ""
 
 
 class TestGraphmlIngestion:
@@ -226,6 +251,14 @@ class TestDotExport:
         g = sk.DirectedGraph(2, [(0, 1)], {0: "left node", 1: "right"})
         text = export_dot(g)
         assert 'label="left node"' in text
+
+    def test_quote_and_backslash_escaped(self, tmp_path):
+        f = tmp_path / "g.graphml"
+        f.write_text(TestGraphmlIngestion.GOOD.replace('"b"', '"say &quot;hi&quot;"')
+                     .replace('"c"', '"a\\b"'))
+        lines = export_dot(read_graph(f)).splitlines()
+        assert lines[2] == '  1 [label="say \\"hi\\""];'
+        assert lines[3] == '  2 [label="a\\\\b"];'
 
     def test_deterministic(self):
         g = sk.random_digraph(8, 0.4, 3)
