@@ -145,6 +145,8 @@ def _run(args) -> int:
         else:
             write_edgelist(g, sys.stdout)
         return 0
+    if cmd == "iterate" and args.depth < 1:
+        raise GraphInputError(f"--depth must be >= 1, got {args.depth}")
 
     g = _load(args)
 

@@ -23,7 +23,10 @@ lists with the removed nodes masked, built on the dominator pass's own
 DFS, so no graph is ever rebuilt. This is the k = 2 reduction
 {v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
 applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
-graph builds and SCC checks.
+graph builds and SCC checks. Edge sets draw prefixes and completions from
+E_k, the edges (u, v) with lambda(u, v) = k = sigma1, which are exactly
+the members of minimum edge sets: C(|E_k|, k-1) passes plus m capped
+flows.
 """
 
 from __future__ import annotations
@@ -270,6 +273,24 @@ def _adjacency(
     return items, g.n, succ, pred
 
 
+def _edge_pool(g: DirectedGraph, k: int) -> Sequence[int]:
+    """Indices of the sorted edges (u, v) with lambda(u, v) = k, from m
+    flows capped at k + 1 on one network. Every arc of a weakening set of
+    size k = sigma1 has lambda <= k, since the set is some delta+(S); and
+    sigma1 is the least lambda of an arc, so when some lambda is below k
+    (k above sigma1) every edge is returned."""
+    items = g.sorted_edges()
+    net = EdgeFlowNetwork(g)
+    pool = []
+    for i, (u, v) in enumerate(items):
+        value = net.flow(u, v, cap=k + 1).value
+        if value < k:
+            return range(len(items))
+        if value == k:
+            pool.append(i)
+    return pool
+
+
 def _weakening_sets(
     g: DirectedGraph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
@@ -286,7 +307,8 @@ def _weakening_sets(
     does not apply. Each s is marked dead and settled by one masked
     Kosaraju pass, which also gives the SCC sizes. Edges are the midpoints
     n + i of the edge split graph, so the root is vertex 0, which is never
-    removed; only nodes < n count towards the sizes.
+    removed; only nodes < n count towards the sizes. Edge prefixes and
+    completions are drawn from ``_edge_pool`` only.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
@@ -299,14 +321,20 @@ def _weakening_sets(
     if k == 0:
         return out
     items, offset, succ, pred = _adjacency(g, kind)
-    for prefix in itertools.combinations(range(len(items)), k - 1):
+    # at k = 1 the only prefix is empty, so the pool's flows save nothing
+    pool = _edge_pool(g, k) if kind == "edge" and k >= 2 else range(len(items))
+    in_pool = bytearray(len(succ))
+    for i in pool:
+        in_pool[offset + i] = 1
+    # a prefix needs a completion above its last member
+    for prefix in itertools.combinations(pool[:-1], k - 1):
         lo = offset + (prefix[-1] + 1 if prefix else 0)
-        if lo >= len(succ):
-            continue
         dead = bytearray(len(succ))
         for i in prefix:
             dead[offset + i] = 1
         for c in _candidates(succ, pred, dead, lo):
+            if not in_pool[c]:
+                continue
             dead[c] = 1
             sizes = [sum(v < g.n for v in comp) for comp in _components(succ, pred, dead)]
             dead[c] = 0
@@ -350,10 +378,12 @@ def weakening_edge_sets(
     """All edge subsets of size sigma1 whose removal breaks strong
     connectivity, in lexicographic order of sorted members.
 
-    Enumeration costs C(m, sigma1 - 1) strong bridge passes (dominator
-    trees of the edge split graph minus P, O(m) each), one per
-    (sigma1 - 1)-subset P of edges; sigma >= 3 needs allow_large=True.
-    ``sigma`` overrides the size enumerated.
+    Enumeration costs C(|E_k|, k-1) passes plus m capped flows: one
+    strong bridge pass (dominator trees of the edge split graph minus P,
+    O(m) each) per (k - 1)-subset P of E_k, the edges whose local edge
+    connectivity is k = sigma1, found by one flow per edge capped at
+    k + 1 (none at k = 1). sigma >= 3 needs allow_large=True. ``sigma``
+    overrides the size enumerated.
     """
     _check_limit(limit)
     _require_strong(g)

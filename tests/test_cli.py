@@ -132,6 +132,16 @@ class TestIterate:
         assert "zeta_trace: [3]" in r.stdout
         assert json.loads(out.read_text())["kind"] == "decomposition"
 
+    def test_depth_below_one_is_usage_error(self, gamma13_file, tmp_path):
+        # checked before the file is read: a missing file still exits 1
+        missing = str(tmp_path / "missing.edges")
+        for depth in ("0", "-1"):
+            for path in (gamma13_file, missing):
+                r = run_cli(["iterate", path, "--depth", depth])
+                assert r.returncode == 1, (depth, path)
+                assert r.stdout == ""
+                assert r.stderr == f"error: --depth must be >= 1, got {depth}\n"
+
 
 class TestExportDot:
     def test_highlight(self, gamma13_file):

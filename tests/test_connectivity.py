@@ -7,8 +7,13 @@ import random
 import pytest
 
 import svckit as sk
-from svckit.connectivity import EnumerationGuardError, _adjacency, _candidates
-from svckit.flow import VertexFlowNetwork
+from svckit.connectivity import (
+    EnumerationGuardError,
+    _adjacency,
+    _candidates,
+    _edge_pool,
+)
+from svckit.flow import EdgeFlowNetwork, VertexFlowNetwork
 from svckit.graphs import GraphInputError, PreconditionError
 from svckit.oracle import (
     oracle_local_sigma,
@@ -201,6 +206,62 @@ class TestWeakeningSets:
                         if not (len(held) == 1 and held[0] > 1):
                             assert c in got, (seed, kind, lo, list(dead), c)
         assert tiny and broken
+
+    @staticmethod
+    def _assert_pool_is_member_union(g, witnesses):
+        items = g.sorted_edges()
+        pool = {items[i] for i in _edge_pool(g, sk.sec(g))}
+        assert pool == {e for members in witnesses for e in members}, g
+
+    def test_edge_pool_is_member_union_gamma(self):
+        # E_k, the edges with lambda(u, v) = k = sigma1, are exactly the
+        # members of minimum edge sets; gamma(a < 4, 4) has 14 vertices,
+        # past the oracle
+        for b in range(1, 5):
+            for a in range(1, b + 1):
+                g = sk.gamma(sk.FamilyParams(a, b))
+                if g.n <= 12:
+                    sets = oracle_weakening_sets(g, "edge")
+                else:
+                    sets, _ = reference_weakening_sets(g, "edge", sk.sec(g))
+                self._assert_pool_is_member_union(g, [m for m, _ in sets])
+
+    def test_edge_pool_is_member_union_random(self):
+        # the oracle's edge subsets are capped as in test_matches_oracle
+        checked = 0
+        for g, seed in strongly_connected_corpus(100, n_hi=9):
+            if math.comb(g.m, sk.sec(g)) <= 20_000:
+                sets = oracle_weakening_sets(g, "edge")
+                self._assert_pool_is_member_union(g, [m for m, _ in sets])
+                checked += 1
+        assert checked >= 80
+
+    def test_edge_pool_bounds_the_work(self, monkeypatch):
+        # gamma(3, 4): sigma1 = 3 and |E_3| = 30 of m = 70 edges, so one
+        # capped flow per edge and one pass per 2-prefix of E_3 with a
+        # completion above it: C(29, 2) = 406, not C(69, 2) = 2346 over
+        # all edges
+        g = sk.gamma(sk.FamilyParams(3, 4))
+        k = sk.sec(g)
+        assert (k, g.m, len(_edge_pool(g, k))) == (3, 70, 30)
+        module = importlib.import_module("svckit.connectivity")
+        flows, passes = [], []
+        flow = EdgeFlowNetwork.flow
+
+        def counted_flow(net, s, t, cap=None):
+            flows.append((s, t))
+            return flow(net, s, t, cap=cap)
+
+        def counted_candidates(*args):
+            passes.append(args)
+            return _candidates(*args)
+
+        monkeypatch.setattr(EdgeFlowNetwork, "flow", counted_flow)
+        monkeypatch.setattr(module, "_candidates", counted_candidates)
+        sets = sk.weakening_edge_sets(g, allow_large=True, sigma=k)
+        assert len(flows) == g.m
+        assert len(passes) == math.comb(29, 2)
+        assert sets
 
     def test_guard_text_in_report_flags(self):
         rep = sk.report(sk.doubled_complete(5), enumerate_witnesses=True)
