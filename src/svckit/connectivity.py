@@ -5,7 +5,8 @@ sigma0 (strong vertex connectivity) is the minimum number of vertices
 whose removal leaves a graph that is not strongly connected or has one
 vertex; sigma1 (strong edge connectivity) is the edge analogue. Both are
 computed from unit-capacity max-flow on one flow network per graph, with
-pruning: a running best value caps every flow and a scan stops at 1. The
+pruning: a running best value caps every flow and a scan stops at 1 (or
+at degree bound 2 runs the k = 1 pass below, no flow). The
 vertex case (sigma0, and zeta0 on the underlying graph read as its own
 doubled digraph) runs only one pivot vertex's pairs, the
 Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic
@@ -47,7 +48,7 @@ from .graphs import (
     underlying,
 )
 from .flow import EdgeFlowNetwork, VertexFlowNetwork
-from .scc import _components, _postorder, is_strongly_connected, scc
+from .scc import _candidates, _components, is_strongly_connected, scc
 
 
 @dataclass(frozen=True)
@@ -165,22 +166,29 @@ def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int,
     return _min_flow(VertexFlowNetwork, g, pairs, k + 1, k)
 
 
+def _scan(g: Graph, kind: str, pairs: Iterable[Tuple[int, int]], best: int) -> int:
+    """At degree bound 2, 1 iff the k = 1 pass finds a cut; else flows."""
+    if best == 2:
+        return 1 if _weakening_sets(g, kind, 1, 1, False) else 2
+    network = VertexFlowNetwork if kind == "vertex" else EdgeFlowNetwork
+    return _min_flow(network, g, pairs, best, 1)[0]
+
+
 def svc(g: DirectedGraph) -> int:
     """sigma0: strong vertex connectivity. n-1 for the complete
     bidirected graph (one-vertex clause of the definition). The minimum
-    flow over ``_pivot_pairs``, starting from the degree bound."""
+    flow over ``_pivot_pairs``, from the degree bound (``_scan``)."""
     _require_strong(g)
-    pairs = _pivot_pairs(g)
-    return _min_flow(VertexFlowNetwork, g, pairs, _vertex_upper_bound(g), 1)[0]
+    return _scan(g, "vertex", _pivot_pairs(g), _vertex_upper_bound(g))
 
 
 def sec(g: Graph) -> int:
     """sigma1: strong edge connectivity, as the minimum edge flow between
-    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0. An
-    UndirectedGraph is read as its doubled digraph."""
+    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0 (``_scan``).
+    An UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
     pairs = ((v, (v + 1) % g.n) for v in range(g.n))
-    return _min_flow(EdgeFlowNetwork, g, pairs, min(_degrees(g)), 1)[0]
+    return _scan(g, "edge", pairs, min(_degrees(g)))
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -188,75 +196,8 @@ def _check_limit(limit: Optional[int]) -> None:
         raise GraphInputError(f"limit must be >= 1, got {limit}")
 
 
-def _dominators(
-    root: int,
-    succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
-    dead: bytearray,
-    size: int,
-) -> Optional[set]:
-    """Non-trivial dominators other than ``root`` in the flow graph of the
-    live nodes from ``root`` (iterative Cooper-Harvey-Kennedy on a reverse
-    postorder), or None if some of the ``size`` live nodes is unreachable."""
-    order = _postorder(root, succ, bytearray(dead))
-    if len(order) < size:
-        return None
-    po = [0] * len(succ)
-    for i, v in enumerate(order):
-        po[v] = i
-    idom = [-1] * len(succ)  # -1: dead or not yet processed
-    idom[root] = root
-    rpo = order[-2::-1]
-    changed = True
-    while changed:
-        changed = False
-        for v in rpo:
-            new = -1
-            for p in pred[v]:
-                if idom[p] < 0:
-                    continue
-                if new < 0:
-                    new = p
-                    continue
-                a = p
-                while a != new:
-                    while po[a] < po[new]:
-                        a = idom[a]
-                    while po[new] < po[a]:
-                        new = idom[new]
-            if idom[v] != new:
-                idom[v] = new
-                changed = True
-    doms = set(idom)
-    doms.discard(-1)
-    doms.discard(root)
-    return doms
-
-
-def _candidates(
-    succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
-    dead: bytearray,
-    lo: int,
-) -> Sequence[int]:
-    """Ascending nodes >= ``lo`` (all of which must be live) that include
-    every node whose removal leaves the live subgraph H not strongly
-    connected or with one vertex node: H's smallest node, the root, when
-    it is ``lo``, then the non-trivial dominators >= ``lo`` of H and of its
-    reverse from the root (Italiano, Laura & Santaroni 2012); or every
-    node >= ``lo`` when H has fewer than 3 nodes or is not strongly
-    connected."""
-    root, size = dead.index(0), dead.count(0)
-    fwd = _dominators(root, succ, pred, dead, size) if size >= 3 else None
-    rev = None if fwd is None else _dominators(root, pred, succ, dead, size)
-    if rev is None:
-        return range(lo, len(succ))
-    cuts = sorted(c for c in fwd | rev if c >= lo)
-    return [root] + cuts if root == lo else cuts  # root <= lo
-
-
 def _adjacency(
-    g: DirectedGraph, kind: str
+    g: Graph, kind: str
 ) -> Tuple[Sequence, int, List[List[int]], List[List[int]]]:
     """(items, offset, succ, pred): item i is node offset + i. Sorted edge
     i = (u, v) is the midpoint n + i of the split graph u -> n + i -> v."""
@@ -264,7 +205,7 @@ def _adjacency(
         succ = [g.successors(v) for v in range(g.n)]
         pred = [g.predecessors(v) for v in range(g.n)]
         return range(g.n), 0, succ, pred
-    items = g.sorted_edges()
+    items = [(u, v) for u in range(g.n) for v in g.successors(u)]
     succ = [[] for _ in range(g.n)] + [[v] for _, v in items]
     pred = [[] for _ in range(g.n)] + [[u] for u, _ in items]
     for i, (u, v) in enumerate(items):
@@ -292,7 +233,7 @@ def _edge_pool(g: DirectedGraph, k: int) -> Sequence[int]:
 
 
 def _weakening_sets(
-    g: DirectedGraph, kind: str, k: int, limit: Optional[int], allow_large: bool
+    g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
     """Every k-subset W of vertices (or of sorted edges) whose removal
     leaves a graph with one vertex or one that is not strongly connected,
@@ -364,9 +305,11 @@ def weakening_vertex_sets(
     overrides the size enumerated.
     """
     _check_limit(limit)
-    _require_strong(g)
-    k = svc(g) if sigma is None else sigma
-    return _weakening_sets(g, "vertex", k, limit, allow_large)
+    if sigma is None:
+        sigma = svc(g)
+    else:
+        _require_strong(g)
+    return _weakening_sets(g, "vertex", sigma, limit, allow_large)
 
 
 def weakening_edge_sets(
@@ -386,29 +329,32 @@ def weakening_edge_sets(
     overrides the size enumerated.
     """
     _check_limit(limit)
-    _require_strong(g)
-    k = sec(g) if sigma is None else sigma
-    return _weakening_sets(g, "edge", k, limit, allow_large)
+    if sigma is None:
+        sigma = sec(g)
+    else:
+        _require_strong(g)
+    return _weakening_sets(g, "edge", sigma, limit, allow_large)
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
     """Classical zeta0 as sigma0 of the doubled digraph, which ``d``'s
     neighbour lists already are, so no copy is built. There MF(a, b) =
     MF(b, a): each unordered pivot pair runs once, which is the
-    Esfahanian & Hakimi (1984) pair set. Disconnected -> 0."""
+    Esfahanian & Hakimi (1984) pair set (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
     pairs = ((a, b) for a, b in _pivot_pairs(d) if a < b)
-    return _min_flow(VertexFlowNetwork, d, pairs, _vertex_upper_bound(d), 1)[0]
+    return _scan(d, "vertex", pairs, _vertex_upper_bound(d))
 
 
 def undirected_edge_connectivity(d: UndirectedGraph) -> int:
     """Classical zeta1 as sec of ``d`` read as its doubled digraph: a
     minimum directed cut of the doubling counts exactly the undirected
-    edges crossing a bipartition. Disconnected -> 0."""
+    edges crossing a bipartition (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return sec(d)
+    pairs = ((v, (v + 1) % d.n) for v in range(d.n))
+    return _scan(d, "edge", pairs, min(_degrees(d)))
 
 
 def report(

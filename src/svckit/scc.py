@@ -1,7 +1,8 @@
-"""Strongly connected components (Kosaraju-Sharir) and the condensation DAG.
+"""Strongly connected components (Kosaraju-Sharir), the condensation DAG,
+and the strong articulation points of a masked subgraph from dominators.
 
 Both passes are one iterative postorder DFS, the same loop the dominator
-pass of ``connectivity`` runs. Traversal order is pinned to ascending
+pass of ``_candidates`` runs. Traversal order is pinned to ascending
 vertex ids and list order of successors, so output is deterministic for a
 given graph. Components come out in reverse topological order of the
 condensation, the order in which Tarjan's algorithm would emit them. The
@@ -12,7 +13,7 @@ graph minus some nodes come without rebuilding the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .graphs import DirectedGraph
 
@@ -68,6 +69,73 @@ def _components(
     components = [_postorder(v, pred, seen) for v in reversed(finish) if not seen[v]]
     components.reverse()
     return components
+
+
+def _dominators(
+    root: int,
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    dead: bytearray,
+    size: int,
+) -> Optional[set]:
+    """Non-trivial dominators other than ``root`` in the flow graph of the
+    live nodes from ``root`` (iterative Cooper-Harvey-Kennedy on a reverse
+    postorder), or None if some of the ``size`` live nodes is unreachable."""
+    order = _postorder(root, succ, bytearray(dead))
+    if len(order) < size:
+        return None
+    po = [0] * len(succ)
+    for i, v in enumerate(order):
+        po[v] = i
+    idom = [-1] * len(succ)  # -1: dead or not yet processed
+    idom[root] = root
+    rpo = order[-2::-1]
+    changed = True
+    while changed:
+        changed = False
+        for v in rpo:
+            new = -1
+            for p in pred[v]:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while po[a] < po[new]:
+                        a = idom[a]
+                    while po[new] < po[a]:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    doms = set(idom)
+    doms.discard(-1)
+    doms.discard(root)
+    return doms
+
+
+def _candidates(
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    dead: bytearray,
+    lo: int,
+) -> Sequence[int]:
+    """Ascending nodes >= ``lo`` (all of which must be live) that include
+    every node whose removal leaves the live subgraph H not strongly
+    connected or with one vertex node: H's smallest node, the root, when
+    it is ``lo``, then the non-trivial dominators >= ``lo`` of H and of its
+    reverse from the root (Italiano, Laura & Santaroni 2012); or every
+    node >= ``lo`` when H has fewer than 3 nodes or is not strongly
+    connected."""
+    root, size = dead.index(0), dead.count(0)
+    fwd = _dominators(root, succ, pred, dead, size) if size >= 3 else None
+    rev = None if fwd is None else _dominators(root, pred, succ, dead, size)
+    if rev is None:
+        return range(lo, len(succ))
+    cuts = sorted(c for c in fwd | rev if c >= lo)
+    return [root] + cuts if root == lo else cuts  # root <= lo
 
 
 def scc(g: DirectedGraph) -> SccPartition:
