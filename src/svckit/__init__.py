@@ -44,7 +44,6 @@ from .families import (
     random_digraph,
 )
 from .interface import (
-    IngestOptions,
     ParseError,
     export_dot,
     read_graph,
@@ -70,6 +69,6 @@ __all__ = [
     "DecompositionNode", "iterate", "sigma_trace", "zeta_trace",
     "FamilyParams", "gamma", "gamma_blocks", "doubled_complete",
     "directed_cycle", "random_digraph",
-    "IngestOptions", "ParseError", "read_graph", "read_graph_detailed",
+    "ParseError", "read_graph", "read_graph_detailed",
     "write_edgelist", "write_report", "export_dot",
 ]

@@ -25,7 +25,6 @@ from .decompose import iterate, sigma_trace, zeta_trace
 from .graphs import DirectedGraph, GraphInputError, PreconditionError, induced
 from .interface import (
     SCHEMA,
-    IngestOptions,
     ParseError,
     export_dot,
     read_graph,
@@ -56,8 +55,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graphml"])
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and ignored: svckit runs single-threaded")
 
     p = sub.add_parser("analyze", help="full connectivity report")
     p.add_argument("file")
@@ -119,7 +116,7 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> DirectedGraph:
-    g = read_graph(args.file, IngestOptions(format=args.format))
+    g = read_graph(args.file, args.format)
     if getattr(args, "scc_largest", False):
         comps = scc(g).components
         largest = max(comps, key=lambda c: (len(c), -min(c)))

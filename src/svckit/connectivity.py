@@ -215,19 +215,15 @@ def _adjacency(
 
 
 def _edge_pool(g: DirectedGraph, k: int) -> Sequence[int]:
-    """Indices of the sorted edges (u, v) with lambda(u, v) = k, from m
-    flows capped at k + 1 on one network. Every arc of a weakening set of
-    size k = sigma1 has lambda <= k, since the set is some delta+(S); and
-    sigma1 is the least lambda of an arc, so when some lambda is below k
-    (k above sigma1) every edge is returned."""
+    """Indices of the sorted edges (u, v) with lambda(u, v) = k = sigma1,
+    from m flows capped at k + 1 on one network. Every arc of a weakening
+    set of size k has lambda <= k, since the set is some delta+(S); and
+    sigma1 is the least lambda of an arc, so no lambda is below k."""
     items = g.sorted_edges()
     net = EdgeFlowNetwork(g)
     pool = []
     for i, (u, v) in enumerate(items):
-        value = net.flow(u, v, cap=k + 1).value
-        if value < k:
-            return range(len(items))
-        if value == k:
+        if net.flow(u, v, cap=k + 1).value == k:
             pool.append(i)
     return pool
 
@@ -235,10 +231,10 @@ def _edge_pool(g: DirectedGraph, k: int) -> Sequence[int]:
 def _weakening_sets(
     g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
-    """Every k-subset W of vertices (or of sorted edges) whose removal
-    leaves a graph with one vertex or one that is not strongly connected,
-    in lexicographic order. k >= 3 raises EnumerationGuardError unless
-    ``allow_large``.
+    """Every k-subset W (k >= 1) of vertices (or of sorted edges) whose
+    removal leaves a graph with one vertex or one that is not strongly
+    connected, in lexicographic order. k >= 3 raises EnumerationGuardError
+    unless ``allow_large``.
 
     W is such a set exactly when its last member s breaks the strong
     connectivity of g - (W - {s}). So each (k-1)-prefix P tries as s the
@@ -257,10 +253,6 @@ def _weakening_sets(
             f"{name}={k}: subset enumeration needs allow_large=True"
         )
     out = WitnessList()
-    if k < 0:
-        raise GraphInputError(f"sigma must be non-negative, got {k}")
-    if k == 0:
-        return out
     items, offset, succ, pred = _adjacency(g, kind)
     # at k = 1 the only prefix is empty, so the pool's flows save nothing
     pool = _edge_pool(g, k) if kind == "edge" and k >= 2 else range(len(items))
@@ -294,29 +286,22 @@ def weakening_vertex_sets(
     g: DirectedGraph,
     limit: Optional[int] = None,
     allow_large: bool = False,
-    sigma: Optional[int] = None,
 ) -> WitnessList:
     """All vertex subsets of size sigma0 whose removal breaks strong
     connectivity (or leaves one vertex), in lexicographic order.
 
     Enumeration costs C(n, sigma0 - 1) strong articulation point passes
     (dominator trees of g - P and its reverse, O(m) each), one per
-    (sigma0 - 1)-subset P; sigma >= 3 needs allow_large=True. ``sigma``
-    overrides the size enumerated.
+    (sigma0 - 1)-subset P; sigma0 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
-    if sigma is None:
-        sigma = svc(g)
-    else:
-        _require_strong(g)
-    return _weakening_sets(g, "vertex", sigma, limit, allow_large)
+    return _weakening_sets(g, "vertex", svc(g), limit, allow_large)
 
 
 def weakening_edge_sets(
     g: DirectedGraph,
     limit: Optional[int] = None,
     allow_large: bool = False,
-    sigma: Optional[int] = None,
 ) -> WitnessList:
     """All edge subsets of size sigma1 whose removal breaks strong
     connectivity, in lexicographic order of sorted members.
@@ -325,15 +310,10 @@ def weakening_edge_sets(
     strong bridge pass (dominator trees of the edge split graph minus P,
     O(m) each) per (k - 1)-subset P of E_k, the edges whose local edge
     connectivity is k = sigma1, found by one flow per edge capped at
-    k + 1 (none at k = 1). sigma >= 3 needs allow_large=True. ``sigma``
-    overrides the size enumerated.
+    k + 1 (none at k = 1). sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
-    if sigma is None:
-        sigma = sec(g)
-    else:
-        _require_strong(g)
-    return _weakening_sets(g, "edge", sigma, limit, allow_large)
+    return _weakening_sets(g, "edge", sec(g), limit, allow_large)
 
 
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:

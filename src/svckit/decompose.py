@@ -34,7 +34,6 @@ class DecompositionNode:
     witness_count: Optional[int]           # None when not enumerated
     condensation_sizes: Tuple[int, ...]    # sizes after removal, descending
     children: List["DecompositionNode"] = field(default_factory=list)
-    witnesses: Optional[List[WeakeningSet]] = None  # all-witnesses-report mode
     flags: List[str] = field(default_factory=list)
 
 
@@ -43,7 +42,6 @@ def _build(
     vertices: Tuple[int, ...],
     depth: int,
     max_depth: int,
-    selection: str,
     enumerate_large: bool,
 ) -> DecompositionNode:
     # vertices is ascending and induced keeps relative order, so local id
@@ -73,15 +71,6 @@ def _build(
         node.flags.append("witnesses-not-enumerated")
     if witnesses is not None:
         node.witness_count = len(witnesses)
-        if selection == "all-witnesses-report":
-            node.witnesses = [
-                WeakeningSet(
-                    kind="vertex",
-                    members=tuple(vertices[i] for i in w.members),
-                    resulting_scc_sizes=w.resulting_scc_sizes,
-                )
-                for w in witnesses
-            ]
         local_members = witnesses[0].members
     else:
         # one minimum weakening vertex set from a flow cut certificate;
@@ -107,7 +96,7 @@ def _build(
     comps.sort(key=lambda c: (-len(c), c[0]))
     for comp in comps:
         node.children.append(
-            _build(g, comp, depth + 1, max_depth, selection, enumerate_large)
+            _build(g, comp, depth + 1, max_depth, enumerate_large)
         )
     return node
 
@@ -115,20 +104,18 @@ def _build(
 def iterate(
     g: DirectedGraph,
     max_depth: int,
-    selection: str = "first-lexicographic",
     enumerate_large: bool = False,
 ) -> DecompositionNode:
     """Build the decomposition tree, removing a minimum weakening vertex
     set at every node of depth < max_depth. Recursion also stops at
     complete bidirected components, where removal degenerates to the
-    one-vertex clause."""
+    one-vertex clause. Each node records only how many minimum sets it
+    has; ``weakening_vertex_sets`` on its induced subgraph lists them."""
     if max_depth < 1:
         raise PreconditionError(f"max_depth must be >= 1, got {max_depth}")
-    if selection not in ("first-lexicographic", "all-witnesses-report"):
-        raise PreconditionError(f"unknown selection mode {selection!r}")
     if g.n < 2 or not is_strongly_connected(g):
         raise PreconditionError("graph must be strongly connected with n >= 2")
-    return _build(g, tuple(range(g.n)), 0, max_depth, selection, enumerate_large)
+    return _build(g, tuple(range(g.n)), 0, max_depth, enumerate_large)
 
 
 def _largest_chain(tree: DecompositionNode) -> List[DecompositionNode]:

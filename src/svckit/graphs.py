@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 
 class GraphInputError(ValueError):
@@ -25,6 +25,20 @@ class PreconditionError(RuntimeError):
 
 
 Edge = Tuple[int, int]
+
+
+def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
+    """``edges`` as (u, v) pairs, after the checks both graph types make:
+    n >= 0, endpoints in [0, n), no self-loop."""
+    if n < 0:
+        raise GraphInputError(f"vertex count must be non-negative, got {n}")
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"edge {e!r} has endpoint outside [0, {n})")
+        if u == v:
+            raise GraphInputError(f"self-loop {e!r} not allowed")
+        yield u, v
 
 
 class DirectedGraph:
@@ -43,16 +57,7 @@ class DirectedGraph:
         edges: Iterable[Edge],
         vertex_labels: Optional[Mapping[int, str]] = None,
     ):
-        if n < 0:
-            raise GraphInputError(f"vertex count must be non-negative, got {n}")
-        edgeset = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(f"edge {e!r} has endpoint outside [0, {n})")
-            if u == v:
-                raise GraphInputError(f"self-loop {e!r} not allowed")
-            edgeset.add((u, v))
+        edgeset = set(_checked_edges(n, edges))
         self.n = n
         self.edges = frozenset(edgeset)
         if vertex_labels is not None:
@@ -120,16 +125,7 @@ class UndirectedGraph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if n < 0:
-            raise GraphInputError(f"vertex count must be non-negative, got {n}")
-        edgeset = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(f"edge {e!r} has endpoint outside [0, {n})")
-            if u == v:
-                raise GraphInputError(f"self-loop {e!r} not allowed")
-            edgeset.add((min(u, v), max(u, v)))
+        edgeset = {(min(u, v), max(u, v)) for u, v in _checked_edges(n, edges)}
         self.n = n
         self.edges = frozenset(edgeset)
         adj = [[] for _ in range(n)]

@@ -30,40 +30,31 @@ class ParseError(ValueError):
 
 
 @dataclass
-class IngestOptions:
-    format: str = "auto"          # edgelist | graphml | auto
-    delimiter: Optional[str] = None   # None: any whitespace
-    has_header: bool = False
-
-
-@dataclass
 class IngestResult:
     graph: DirectedGraph
     self_loops_dropped: int
     duplicates_dropped: int
 
 
-def read_graph(path: Union[str, Path], opts: Optional[IngestOptions] = None) -> DirectedGraph:
-    return read_graph_detailed(path, opts).graph
+def read_graph(path: Union[str, Path], format: str = "auto") -> DirectedGraph:
+    return read_graph_detailed(path, format).graph
 
 
-def read_graph_detailed(
-    path: Union[str, Path], opts: Optional[IngestOptions] = None
-) -> IngestResult:
-    opts = opts or IngestOptions()
+def read_graph_detailed(path: Union[str, Path], format: str = "auto") -> IngestResult:
+    """``format`` is "edgelist", "graphml" or "auto": GraphML for a
+    ``.graphml`` suffix or XML content, else an edge list."""
     path = Path(path)
-    fmt = opts.format
-    if fmt == "auto":
+    if format == "auto":
         if path.suffix.lower() == ".graphml":
-            fmt = "graphml"
+            format = "graphml"
         else:
-            fmt = _sniff(path)
-    if fmt == "edgelist":
-        pairs, isolated = _parse_edgelist(path, opts)
-    elif fmt == "graphml":
+            format = _sniff(path)
+    if format == "edgelist":
+        pairs, isolated = _parse_edgelist(path)
+    elif format == "graphml":
         pairs, isolated = _parse_graphml(path)
     else:
-        raise ParseError(f"unknown format {fmt!r}")
+        raise ParseError(f"unknown format {format!r}")
     return _assemble(pairs, isolated, path)
 
 
@@ -76,9 +67,7 @@ def _sniff(path: Path) -> str:
     return "graphml" if "<graphml" in head or "<?xml" in head else "edgelist"
 
 
-def _parse_edgelist(
-    path: Path, opts: IngestOptions
-) -> Tuple[List[Tuple[str, str]], List[str]]:
+def _parse_edgelist(path: Path) -> Tuple[List[Tuple[str, str]], List[str]]:
     pairs: List[Tuple[str, str]] = []
     isolated: List[str] = []
     try:
@@ -86,13 +75,10 @@ def _parse_edgelist(
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        if opts.has_header and lineno == 1:
-            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split(opts.delimiter) if opts.delimiter else line.split()
-        tokens = [t for t in tokens if t]
+        tokens = line.split()
         if len(tokens) == 1:
             isolated.append(tokens[0])
         elif len(tokens) in (2, 3):
@@ -251,7 +237,7 @@ def tree_to_dict(node: DecompositionNode, g: DirectedGraph) -> dict:
 
 
 def _node_dict(node: DecompositionNode, labels: Optional[Mapping[int, str]]) -> dict:
-    d = {
+    return {
         "vertices": list(node.vertices),
         "depth": node.depth,
         "sigma0": node.sigma0,
@@ -262,9 +248,6 @@ def _node_dict(node: DecompositionNode, labels: Optional[Mapping[int, str]]) -> 
         "flags": list(node.flags),
         "children": [_node_dict(c, labels) for c in node.children],
     }
-    if node.witnesses is not None:
-        d["witnesses"] = [_witness_dict(w, labels) for w in node.witnesses]
-    return d
 
 
 def to_canonical_json(d: dict) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import svckit as sk
-from svckit.interface import IngestOptions, read_graph
+from svckit.interface import read_graph
 from svckit.oracle import oracle_local_sigma, oracle_svc, oracle_sec, oracle_zeta0
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "connectomes"
@@ -141,7 +141,7 @@ def _load_connectome(name):
     for ext in ("edges", "txt", "graphml", "csv"):
         path = DATA_DIR / f"{name}.{ext}"
         if path.exists():
-            return read_graph(path, IngestOptions())
+            return read_graph(path)
     pytest.skip(f"connectome file {name}.* not present in {DATA_DIR}")
 
 

@@ -201,10 +201,7 @@ class TestInProcessEntrypoint:
         assert capsys.readouterr().out.strip() == "1"
         assert _build_parser.cache_info().misses == 1
 
-
-def test_threads_option_does_not_change_output(gamma13_file):
-    # --threads is accepted and ignored, so existing command lines still work
-    a = run_cli(["analyze", gamma13_file, "--enumerate", "--threads", "1"])
-    b = run_cli(["analyze", gamma13_file, "--enumerate", "--threads", "4"])
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    def test_threads_option_removed(self, gamma13_file, capsys):
+        # svckit runs single-threaded and has no thread-count flag
+        assert main(["svc", gamma13_file, "--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from svckit.connectivity import (
     _degrees,
     _edge_pool,
     _vertex_upper_bound,
+    _weakening_sets,
 )
 from svckit.flow import EdgeFlowNetwork, VertexFlowNetwork
 from svckit.graphs import GraphInputError, PreconditionError
@@ -155,13 +156,6 @@ class TestWeakeningSets:
             with pytest.raises(GraphInputError):
                 sk.weakening_edge_sets(g, limit=limit)
 
-    def test_negative_sigma_rejected(self):
-        g = sk.directed_cycle(6)
-        for enumerate_sets in (sk.weakening_vertex_sets, sk.weakening_edge_sets):
-            with pytest.raises(GraphInputError):
-                enumerate_sets(g, sigma=-1)
-            assert enumerate_sets(g, sigma=0) == []
-
     def test_lexicographic_order(self):
         g = sk.gamma(sk.FamilyParams(2, 3))
         sets = sk.weakening_vertex_sets(g)
@@ -260,7 +254,7 @@ class TestWeakeningSets:
 
         monkeypatch.setattr(EdgeFlowNetwork, "flow", counted_flow)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
-        sets = sk.weakening_edge_sets(g, allow_large=True, sigma=k)
+        sets = _weakening_sets(g, "edge", k, None, True)
         assert len(flows) == g.m
         assert len(passes) == math.comb(29, 2)
         assert sets
@@ -337,7 +331,7 @@ class TestWeakeningSets:
     def _assert_matches_reference(g, kind, k, limits=(None, 1, 3)):
         enum = sk.weakening_vertex_sets if kind == "vertex" else sk.weakening_edge_sets
         for limit in limits:
-            got = enum(g, limit=limit, allow_large=True, sigma=k)
+            got = enum(g, limit=limit, allow_large=True)
             want, capped = reference_weakening_sets(g, kind, k, limit)
             assert [(w.members, w.resulting_scc_sizes) for w in got] == want, (
                 g, kind, k, limit,
@@ -352,21 +346,6 @@ class TestWeakeningSets:
         for g in graphs:
             self._assert_matches_reference(g, "vertex", sk.svc(g), (None, 3))
             self._assert_matches_reference(g, "edge", sk.sec(g), (None, 3))
-
-    def test_sigma_override_matches_reference(self):
-        # a sigma other than the true value: 0 yields nothing, larger
-        # values reach prefixes that already break strong connectivity
-        # and the one-vertex clause
-        graphs = [
-            sk.directed_cycle(5),
-            sk.doubled_complete(4),
-            sk.gamma(sk.FamilyParams(1, 1)),
-            _first_strong(6, 0.5),
-        ]
-        for g in graphs:
-            for kind, true in (("vertex", sk.svc(g)), ("edge", sk.sec(g))):
-                for k in (0, true + 1, g.n - 1, g.n):
-                    self._assert_matches_reference(g, kind, k)
 
 
 class TestUndirectedConnectivity:

@@ -17,8 +17,6 @@ def test_preconditions():
         sk.iterate(sk.directed_cycle(4), max_depth=0)
     with pytest.raises(PreconditionError):
         sk.iterate(sk.DirectedGraph(3, [(0, 1), (1, 2)]), max_depth=1)
-    with pytest.raises(PreconditionError):
-        sk.iterate(sk.directed_cycle(4), max_depth=1, selection="bogus")
 
 
 def test_complete_bidirected_is_leaf():
@@ -119,15 +117,6 @@ def test_depth_cap_flag():
     if tree.children:
         assert all("depth-capped" in c.flags or "complete-bidirected" in c.flags
                    or not c.children for c in tree.children)
-
-
-def test_all_witnesses_report_mode():
-    g = sk.directed_cycle(5)
-    tree = sk.iterate(g, max_depth=1, selection="all-witnesses-report")
-    assert tree.witness_count == 5
-    assert [w.members for w in tree.witnesses] == [(v,) for v in range(5)]
-    default = sk.iterate(g, max_depth=1)
-    assert default.witnesses is None and default.witness_count == 5
 
 
 def test_guarded_witness_frozen():

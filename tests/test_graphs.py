@@ -25,13 +25,23 @@ def undirected_graphs(draw, max_n=7):
 
 
 class TestConstruction:
+    # both graph types make the same checks with the same messages
     def test_rejects_self_loop(self):
-        with pytest.raises(GraphInputError):
-            sk.DirectedGraph(2, [(0, 0)])
+        for cls in (sk.DirectedGraph, sk.UndirectedGraph):
+            with pytest.raises(GraphInputError, match=r"^self-loop \(0, 0\) not allowed$"):
+                cls(2, [(0, 0)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(GraphInputError):
-            sk.DirectedGraph(2, [(0, 2)])
+        for cls in (sk.DirectedGraph, sk.UndirectedGraph):
+            with pytest.raises(GraphInputError,
+                               match=r"^edge \(0, 2\) has endpoint outside \[0, 2\)$"):
+                cls(2, [(0, 2)])
+
+    def test_rejects_negative_vertex_count(self):
+        for cls in (sk.DirectedGraph, sk.UndirectedGraph):
+            with pytest.raises(GraphInputError,
+                               match="^vertex count must be non-negative, got -1$"):
+                cls(-1, [])
 
     def test_set_semantics(self):
         g = sk.DirectedGraph(2, [(0, 1), (0, 1)])

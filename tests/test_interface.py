@@ -6,7 +6,6 @@ import pytest
 import svckit as sk
 from svckit.graphs import GraphInputError
 from svckit.interface import (
-    IngestOptions,
     ParseError,
     export_dot,
     read_graph,
@@ -49,12 +48,6 @@ class TestEdgelistIngestion:
         f = tmp_path / "g.edges"
         f.write_text("# header comment\n\na b # inline\nb a\n")
         assert read_graph(f).m == 2
-
-    def test_header_skip(self, tmp_path):
-        f = tmp_path / "g.csv"
-        f.write_text("source,target\na,b\nb,a\n")
-        g = read_graph(f, IngestOptions(delimiter=",", has_header=True))
-        assert g.m == 2
 
     def test_bad_line_reports_number(self, tmp_path):
         f = tmp_path / "g.edges"
@@ -145,6 +138,20 @@ class TestGraphmlIngestion:
         f.write_text("<graphml><oops")
         with pytest.raises(ParseError):
             read_graph(f)
+
+    def test_format_argument_picks_the_parser(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text(self.GOOD)
+        g = read_graph(f, "graphml")
+        assert g.n == 3 and g.m == 3 and sk.is_strongly_connected(g)
+        with pytest.raises(ParseError, match="expected 1-3 tokens"):
+            read_graph(f, "edgelist")
+
+    def test_unknown_format_rejected(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("a b\nb a\n")
+        with pytest.raises(ParseError, match="unknown format 'bogus'"):
+            read_graph(f, "bogus")
 
 
 class TestReportSerialization:
