@@ -244,8 +244,10 @@ def _weakening_sets(
     does not apply. Each s is marked dead and settled by one masked
     Kosaraju pass, which also gives the SCC sizes. Edges are the midpoints
     n + i of the edge split graph, so the root is vertex 0, which is never
-    removed; only nodes < n count towards the sizes. Edge prefixes and
-    completions are drawn from ``_edge_pool`` only.
+    removed; only nodes < n count towards the sizes. Edge prefixes come
+    from E_k (``_edge_pool``), and completions land in it without a check:
+    a completion c of P is a strong bridge of g - P, so P + c is a minimum
+    set, some delta+(S) of size k = sigma1, and all its arcs have lambda = k.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
@@ -256,9 +258,6 @@ def _weakening_sets(
     items, offset, succ, pred = _adjacency(g, kind)
     # at k = 1 the only prefix is empty, so the pool's flows save nothing
     pool = _edge_pool(g, k) if kind == "edge" and k >= 2 else range(len(items))
-    in_pool = bytearray(len(succ))
-    for i in pool:
-        in_pool[offset + i] = 1
     # a prefix needs a completion above its last member
     for prefix in itertools.combinations(pool[:-1], k - 1):
         lo = offset + (prefix[-1] + 1 if prefix else 0)
@@ -266,8 +265,6 @@ def _weakening_sets(
         for i in prefix:
             dead[offset + i] = 1
         for c in _candidates(succ, pred, dead, lo):
-            if not in_pool[c]:
-                continue
             dead[c] = 1
             sizes = [sum(v < g.n for v in comp) for comp in _components(succ, pred, dead)]
             dead[c] = 0
@@ -350,58 +347,36 @@ def report(
     with one sub-report per nontrivial SCC.
     """
     _check_limit(limit)
-    st = stats(g)
-    if g.n < 2 or st.diameter is None:  # not strongly connected
-        flags = ["not-strongly-connected"] if g.n >= 2 else ["degenerate"]
-        rep = ConnectivityReport(
-            sigma0=None,
-            sigma1=None,
-            zeta0_underlying=None,
-            zeta1_underlying=None,
-            vertex_witnesses=[],
-            edge_witnesses=[],
-            witness_counts=None,
-            stats=st,
-            flags=flags,
-        )
-        if g.n >= 2:
-            for comp in scc(g).components:
-                if len(comp) < 2:
-                    continue
+    rep = ConnectivityReport(
+        sigma0=None, sigma1=None, zeta0_underlying=None, zeta1_underlying=None,
+        vertex_witnesses=[], edge_witnesses=[], witness_counts=None, stats=stats(g),
+    )
+    if g.n < 2:
+        rep.flags.append("degenerate")
+        return rep
+    if rep.stats.diameter is None:  # not strongly connected
+        rep.flags.append("not-strongly-connected")
+        for comp in scc(g).components:  # each sorted ascending
+            if len(comp) >= 2:
                 sub, _ = induced(g, comp)
                 rep.component_reports.append(
-                    report(sub, enumerate_witnesses, limit, allow_large)
-                )
-                rep.component_vertices.append(sorted(comp))
+                    report(sub, enumerate_witnesses, limit, allow_large))
+                rep.component_vertices.append(comp)
         return rep
 
-    s0 = svc(g)
-    s1 = sec(g)
+    rep.sigma0, rep.sigma1 = svc(g), sec(g)
     und = underlying(g)
-    z0 = undirected_vertex_connectivity(und)
-    z1 = undirected_edge_connectivity(und)
-    flags: List[str] = []
-    vw: WitnessList = WitnessList()
-    ew: WitnessList = WitnessList()
-    counts: Optional[Tuple[int, int]] = None
+    rep.zeta0_underlying = undirected_vertex_connectivity(und)
+    rep.zeta1_underlying = undirected_edge_connectivity(und)
     if enumerate_witnesses:
         try:
-            vw = _weakening_sets(g, "vertex", s0, limit, allow_large)
-            ew = _weakening_sets(g, "edge", s1, limit, allow_large)
-            counts = (len(vw), len(ew))
-            if vw.capped or ew.capped:
-                flags.append("enumeration-capped")
+            vw = _weakening_sets(g, "vertex", rep.sigma0, limit, allow_large)
+            ew = _weakening_sets(g, "edge", rep.sigma1, limit, allow_large)
         except EnumerationGuardError as exc:
-            flags.append(f"enumeration-skipped: {exc}")
-            vw, ew, counts = WitnessList(), WitnessList(), None
-    return ConnectivityReport(
-        sigma0=s0,
-        sigma1=s1,
-        zeta0_underlying=z0,
-        zeta1_underlying=z1,
-        vertex_witnesses=list(vw),
-        edge_witnesses=list(ew),
-        witness_counts=counts,
-        stats=st,
-        flags=flags,
-    )
+            rep.flags.append(f"enumeration-skipped: {exc}")
+        else:
+            rep.vertex_witnesses, rep.edge_witnesses = list(vw), list(ew)
+            rep.witness_counts = (len(vw), len(ew))
+            if vw.capped or ew.capped:
+                rep.flags.append("enumeration-capped")
+    return rep

@@ -64,40 +64,33 @@ def _build(
         node.flags.append("depth-capped")
         return node
 
-    witnesses = None
     try:
         witnesses = _weakening_sets(h, "vertex", k, None, enumerate_large)
     except EnumerationGuardError:
         node.flags.append("witnesses-not-enumerated")
-    if witnesses is not None:
-        node.witness_count = len(witnesses)
-        local_members = witnesses[0].members
-    else:
         # one minimum weakening vertex set from a flow cut certificate;
         # every flow is >= k, so the first one below k + 1 certifies k
         value, local_members = vertex_pair_scan(h, k)
         if value != k:
             raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
+    else:
+        node.witness_count = len(witnesses)
+        local_members = witnesses[0].members
     dead = bytearray(h.n)
     for v in local_members:
         dead[v] = 1
     parts = _components([h.successors(v) for v in range(h.n)],
                         [h.predecessors(v) for v in range(h.n)], dead)
     sizes = tuple(sorted((len(c) for c in parts), reverse=True))
-    node.chosen_set = WeakeningSet(
-        kind="vertex",
-        members=tuple(vertices[i] for i in local_members),
-        resulting_scc_sizes=sizes,
-    )
+    members = tuple(vertices[i] for i in local_members)
+    node.chosen_set = WeakeningSet("vertex", members, sizes)
     node.condensation_sizes = sizes
 
     # deterministic child order: by descending size then smallest orig id
     comps = [tuple(vertices[v] for v in sorted(comp)) for comp in parts if len(comp) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))
-    for comp in comps:
-        node.children.append(
-            _build(g, comp, depth + 1, max_depth, enumerate_large)
-        )
+    node.children = [_build(g, comp, depth + 1, max_depth, enumerate_large)
+                     for comp in comps]
     return node
 
 

@@ -177,6 +177,15 @@ class TestErrorHandling:
         f.write_text("a b c d e\n")
         assert run_cli(["analyze", str(f)]).returncode == 2
 
+    def test_malformed_graphml(self, tmp_path):
+        f = tmp_path / "bad.graphml"
+        f.write_text('<graphml><graph edgedefault="directed">'
+                     '<node id="a"/><edge source="a"/></graph></graphml>')
+        r = run_cli(["svc", str(f)])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "<edge> missing source/target" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_non_utf8_input(self, tmp_path):
         # format detection and the edge-list parser both report the bad
         # byte as a parse error: exit 2 with one error line, no traceback

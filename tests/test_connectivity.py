@@ -689,6 +689,21 @@ class TestReport:
         sizes = sorted(len(v) for v in rep.component_vertices)
         assert sizes == [2, 3]
 
+    def test_capped_enumeration(self):
+        rep = sk.report(sk.directed_cycle(6), enumerate_witnesses=True, limit=2)
+        assert rep.flags == ["enumeration-capped"]
+        assert rep.witness_counts == (2, 2)
+        assert [w.members for w in rep.vertex_witnesses] == [(0,), (1,)]
+
+    def test_capped_component_reports(self):
+        # two triangles joined by 2 -> 3, plus vertex 6 feeding in
+        g = sk.DirectedGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                 (2, 3), (6, 0)])
+        rep = sk.report(g, enumerate_witnesses=True, limit=1)
+        assert rep.flags == ["not-strongly-connected"]
+        assert rep.component_vertices == [[3, 4, 5], [0, 1, 2]]
+        assert [sub.flags for sub in rep.component_reports] == [["enumeration-capped"]] * 2
+
     def test_four_unmasked_scc_passes(self, monkeypatch):
         # svc, sec, zeta0 and zeta1 each check their own input; report and
         # the enumeration add no pass of their own

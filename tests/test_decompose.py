@@ -2,6 +2,7 @@ import pytest
 
 import svckit as sk
 from svckit.graphs import PreconditionError
+from svckit.oracle import oracle_svc, oracle_zeta0
 
 
 def test_four_cycle_depth_one():
@@ -100,15 +101,24 @@ def test_sigma_trace_gamma13():
 
 
 def test_trace_follows_largest_component():
-    g = sk.gamma(sk.FamilyParams(2, 3))
-    tree = sk.iterate(g, max_depth=4)
-    trace = sk.sigma_trace(tree)
-    assert trace[0] == 2
-    assert len(trace) >= 1
+    # the chain has four nodes; its 8-vertex node (sigma0 = 3) takes the
+    # guarded flow-cut path. Each node's values match the oracles on its
+    # induced subgraph.
+    g = sk.random_digraph(11, 0.55, 19913)
+    tree = sk.iterate(g, max_depth=7)
     node = tree
-    for value in trace[1:]:
+    chain = [node]
+    while node.children:
         node = max(node.children, key=lambda c: (len(c.vertices), -c.vertices[0]))
-        assert node.sigma0 == value
+        chain.append(node)
+    assert sk.sigma_trace(tree) == [c.sigma0 for c in chain] == [2, 3, 1, 1]
+    assert sk.zeta_trace(tree) == [c.zeta0_underlying for c in chain] == [6, 4, 1, 1]
+    assert len(chain[1].vertices) == 8
+    assert "witnesses-not-enumerated" in chain[1].flags
+    for node in chain:
+        sub, _ = sk.induced(g, node.vertices)
+        assert node.sigma0 == oracle_svc(sub)
+        assert node.zeta0_underlying == oracle_zeta0(sub.n, sk.underlying(sub).edges)
 
 
 def test_depth_cap_flag():

@@ -43,6 +43,10 @@ class TestConstruction:
                                match="^vertex count must be non-negative, got -1$"):
                 cls(-1, [])
 
+    def test_rejects_label_key_out_of_range(self):
+        with pytest.raises(GraphInputError, match=r"^label key 5 outside \[0, 2\)$"):
+            sk.DirectedGraph(2, [(0, 1)], {5: "x"})
+
     def test_set_semantics(self):
         g = sk.DirectedGraph(2, [(0, 1), (0, 1)])
         assert g.m == 1

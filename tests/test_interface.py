@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,20 @@ class TestGraphmlIngestion:
         with pytest.raises(ParseError, match="directed"):
             read_graph(f)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("</graph>", '</graph><graph id="H"/>', "expected exactly one <graph>, found 2"),
+        ('<node id="b"/>', "<node/>", "<node> without id"),
+        ('<edge source="a" target="b"/>', '<edge source="a" target="b" directed="false"/>',
+         "undirected <edge> not supported"),
+        ('<edge source="b" target="c"/>', '<edge source="b"/>', "<edge> missing source/target"),
+    ], ids=["two-graphs", "node-without-id", "undirected-edge", "edge-without-target"])
+    def test_malformed_rejected(self, tmp_path, old, new, message):
+        f = tmp_path / "g.graphml"
+        assert old in self.GOOD
+        f.write_text(self.GOOD.replace(old, new))
+        with pytest.raises(ParseError, match=f": {re.escape(message)}$"):
+            read_graph(f)
+
     def test_garbage_rejected(self, tmp_path):
         f = tmp_path / "g.graphml"
         f.write_text("<graphml><oops")
@@ -253,6 +268,23 @@ class TestDotExport:
         w = sk.weakening_vertex_sets(g)[0]
         text = export_dot(g, highlight=w)
         assert '0 [label="1", style=filled, fillcolor=orangered];' in text
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_highlighted_gamma23(self, kind):
+        g = sk.gamma(sk.FamilyParams(2, 3))
+        sets = sk.weakening_vertex_sets if kind == "vertex" else sk.weakening_edge_sets
+        w = sets(g)[0]
+        lines = export_dot(g, highlight=w).splitlines()
+        filled = [line for line in lines if "fillcolor=orangered" in line]
+        styled = [line for line in lines if "color=orangered, penwidth=2" in line]
+        if kind == "vertex":
+            assert filled == [f'  {v} [label="{g.label(v)}", style=filled, fillcolor=orangered];'
+                              for v in w.members]
+            assert styled == []
+        else:
+            assert filled == []
+            assert styled == [f"  {u} -> {v} [color=orangered, penwidth=2];"
+                              for u, v in w.members]
 
     def test_labels_quoted(self):
         g = sk.DirectedGraph(2, [(0, 1)], {0: "left node", 1: "right"})
