@@ -17,17 +17,17 @@ Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
 time: the strong articulation points of G - P are the non-trivial
 dominators of G - P and of its reverse from one root (Italiano, Laura &
 Santaroni 2012), and each one above max(P) is a candidate to complete P,
-as is the root. Edge sets use the edge-split graph, whose midpoint
-articulation points are the strong bridges. Every candidate is settled,
-and its SCC sizes counted, by one Kosaraju pass over the same adjacency
-lists with the removed nodes masked, built on the dominator pass's own
-DFS, so no graph is ever rebuilt. This is the k = 2 reduction
-{v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
-applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
-graph builds and SCC checks. Edge sets draw prefixes and completions from
-E_k, the edges (u, v) with lambda(u, v) = k = sigma1, which are exactly
-the members of minimum edge sets: C(|E_k|, k-1) passes plus m capped
-flows.
+as is the root. Edge candidates come from the edge-split graph, whose
+midpoint articulation points are the strong bridges; sizing comes from
+the vertex adjacency. Every candidate is settled, and its SCC sizes
+counted, by one Kosaraju pass over the vertex lists, with removed
+vertices masked or removed arcs left out of copies, so no graph is ever
+rebuilt. This is the k = 2 reduction {v} + SAP(G - v) of Georgiadis,
+Italiano, Laura & Parotsidis (2015), applied to every prefix: C(n, k-1)
+dominator passes instead of C(n, k) graph builds and SCC checks. Edge
+sets draw prefixes and completions from E_k, the edges (u, v) with
+lambda(u, v) = k = sigma1, which are exactly the members of minimum edge
+sets: C(|E_k|, k-1) passes plus m capped flows.
 """
 
 from __future__ import annotations
@@ -241,12 +241,13 @@ def _weakening_sets(
     ``_candidates`` above max(P): the cut points of g - P from one
     dominator pass rooted at its smallest remaining node, and that root
     when it is above max(P) too, or every s above max(P) when the pass
-    does not apply. Each s is marked dead and settled by one masked
-    Kosaraju pass, which also gives the SCC sizes. Edges are the midpoints
-    n + i of the edge split graph, so the root is vertex 0, which is never
-    removed; only nodes < n count towards the sizes. Edge prefixes come
-    from E_k (``_edge_pool``), and completions land in it without a check:
-    a completion c of P is a strong bridge of g - P, so P + c is a minimum
+    does not apply. Each s is settled by one Kosaraju pass over the vertex
+    lists, which also gives the SCC sizes: a vertex is masked dead, an
+    edge set's arcs are left out of copies of the lists they touch. Edge
+    candidates are the midpoints n + i of the edge split graph, rooted at
+    vertex 0, which is never removed. Edge prefixes come from E_k
+    (``_edge_pool``), and completions land in it without a check: a
+    completion c of P is a strong bridge of g - P, so P + c is a minimum
     set, some delta+(S) of size k = sigma1, and all its arcs have lambda = k.
     """
     if k >= 3 and not allow_large:
@@ -256,6 +257,7 @@ def _weakening_sets(
         )
     out = WitnessList()
     items, offset, succ, pred = _adjacency(g, kind)
+    _, _, vsucc, vpred = _adjacency(g, "vertex")
     # at k = 1 the only prefix is empty, so the pool's flows save nothing
     pool = _edge_pool(g, k) if kind == "edge" and k >= 2 else range(len(items))
     # a prefix needs a completion above its last member
@@ -265,13 +267,20 @@ def _weakening_sets(
         for i in prefix:
             dead[offset + i] = 1
         for c in _candidates(succ, pred, dead, lo):
-            dead[c] = 1
-            sizes = [sum(v < g.n for v in comp) for comp in _components(succ, pred, dead)]
-            dead[c] = 0
-            sizes = sorted((x for x in sizes if x), reverse=True)
+            members = tuple(items[i] for i in prefix + (c - offset,))
+            if kind == "vertex":
+                dead[c] = 1
+                comps = _components(succ, pred, dead)
+                dead[c] = 0
+            else:
+                s, p = vsucc[:], vpred[:]
+                for u, v in members:
+                    s[u] = [w for w in s[u] if w != v]
+                    p[v] = [w for w in p[v] if w != u]
+                comps = _components(s, p, bytearray(g.n))
+            sizes = sorted(map(len, comps), reverse=True)
             if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
                 continue
-            members = tuple(items[i] for i in prefix) + (items[c - offset],)
             out.append(WeakeningSet(kind, members, tuple(sizes)))
             if limit is not None and len(out) >= limit:
                 out.capped = True

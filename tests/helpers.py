@@ -2,12 +2,14 @@
 reachability helpers kept independent of the package's flow/scc code, an
 iterative Tarjan that pins the order of SCCs, and the large-n references
 past the oracle's size limit: the literal subset loop for weakening-set
-enumeration and the Even-Tarjan source scan for sigma0."""
+enumeration, the Even-Tarjan source scan for sigma0 and the all-pairs BFS
+loop for the diameter."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+from collections import deque
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import svckit as sk
 from svckit.flow import VertexFlowNetwork
@@ -176,3 +178,35 @@ def reference_svc(g: sk.DirectedGraph) -> int:
                         best = ans.value
         s += 1
     return best
+
+
+def _bfs_ecc(g: sk.DirectedGraph, src: int) -> Optional[int]:
+    # directed eccentricity of src, None if some vertex unreachable
+    dist = [-1] * g.n
+    dist[src] = 0
+    queue = deque([src])
+    seen = 1
+    far = 0
+    while queue:
+        u = queue.popleft()
+        for v in g.successors(u):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                far = max(far, dist[v])
+                seen += 1
+                queue.append(v)
+    if seen < g.n:
+        return None
+    return far
+
+
+def reference_diameter(g: sk.DirectedGraph) -> Optional[int]:
+    """All-pairs BFS loop, the reference for stats(g).diameter: the largest
+    eccentricity, None as soon as some vertex misses another."""
+    diameter = 0
+    for v in range(g.n):
+        ecc = _bfs_ecc(g, v)
+        if ecc is None:
+            return None
+        diameter = max(diameter, ecc)
+    return diameter

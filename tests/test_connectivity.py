@@ -259,6 +259,26 @@ class TestWeakeningSets:
         assert len(passes) == math.comb(29, 2)
         assert sets
 
+    def test_edge_sizes_match_rebuild_past_oracle(self):
+        # n 13-40: each edge set's sizes are those of g - W rebuilt, and the
+        # list is the literal subset loop's, at k = sigma1 = 1, 2 and 3
+        graphs = [g for g, _ in strongly_connected_corpus(8, n_lo=13, n_hi=40, probs=(0.12,))]
+        for k, ns in ((2, (13, 20, 27, 34, 40)), (3, (13, 14, 15))):
+            graphs += [next(g for seed in range(100)
+                            if sk.sec(g := _cycle_union(n, k, seed)) == k) for n in ns]
+        ks = []
+        for g in graphs:
+            k = sk.sec(g)
+            ks.append(k)
+            sets = _weakening_sets(g, "edge", k, None, True)
+            for w in sets:
+                h = sk.remove_edges(g, w.members)
+                assert w.resulting_scc_sizes == tuple(
+                    sorted(map(len, sk.scc(h).components), reverse=True)), (g, w)
+            want, _ = reference_weakening_sets(g, "edge", k)
+            assert [(w.members, w.resulting_scc_sizes) for w in sets] == want, g
+        assert {1, 2, 3} <= set(ks) and min(g.n for g in graphs) >= 13
+
     def test_guard_text_in_report_flags(self):
         rep = sk.report(sk.doubled_complete(5), enumerate_witnesses=True)
         assert rep.flags == [
@@ -436,18 +456,24 @@ def _first_strong(n, p, seed=0):
     return g
 
 
+def _cycle_union(n, count, seed):
+    # union of `count` random Hamiltonian cycles: every in- and out-degree
+    # is at most `count`
+    rng = random.Random(seed)
+    arcs = set()
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+    return sk.DirectedGraph(n, arcs)
+
+
 def _sigma_two(n, seed=0):
-    # union of two random Hamiltonian cycles: every in- and out-degree is
-    # at most 2; the first seed giving sigma0 = sigma1 = 2 (a few tries
-    # suffice, so a scan that never answers 2 fails instead of hanging)
+    # the first seed whose union of two Hamiltonian cycles has sigma0 =
+    # sigma1 = 2 (a few tries suffice, so a scan that never answers 2
+    # fails instead of hanging)
     for seed in range(seed, seed + 100):
-        rng = random.Random(seed)
-        arcs = set()
-        for _ in range(2):
-            order = list(range(n))
-            rng.shuffle(order)
-            arcs |= {(order[i], order[(i + 1) % n]) for i in range(n)}
-        g = sk.DirectedGraph(n, arcs)
+        g = _cycle_union(n, 2, seed)
         if sk.svc(g) == 2 and sk.sec(g) == 2:
             return g
     raise AssertionError(f"no sigma0 = sigma1 = 2 graph on {n} vertices in 100 seeds")
@@ -706,21 +732,27 @@ class TestReport:
 
     def test_four_unmasked_scc_passes(self, monkeypatch):
         # svc, sec, zeta0 and zeta1 each check their own input; report and
-        # the enumeration add no pass of their own
+        # the enumeration add no pass over g's or U(g)'s own lists. Edge
+        # sets are sized over lists with their arcs left out, one pass per
+        # candidate; on gamma(2, 3) each of the 8 candidates is a witness
+        g = sk.gamma(sk.FamilyParams(2, 3))
+        und = sk.underlying(g)
+        own = [[g.successors(v) for v in range(g.n)], [und.neighbors(v) for v in range(g.n)]]
         modules = [importlib.import_module(f"svckit.{name}")
                    for name in ("scc", "connectivity", "decompose")]
         real = modules[0]._components
-        unmasked = []
+        unmasked, patched = [], []
 
         def counting(succ, pred, dead):
             if not any(dead):
-                unmasked.append(dead)
+                (unmasked if list(succ) in own else patched).append(dead)
             return real(succ, pred, dead)
 
         for module in modules:
             monkeypatch.setattr(module, "_components", counting)
-        sk.report(sk.gamma(sk.FamilyParams(2, 3)), enumerate_witnesses=True)
+        rep = sk.report(g, enumerate_witnesses=True)
         assert len(unmasked) == 4
+        assert len(patched) == len(rep.edge_witnesses) == 8
 
     def test_matches_oracle(self):
         for g, seed in strongly_connected_corpus(15, n_lo=3, n_hi=7):

@@ -1,3 +1,5 @@
+import math
+import random
 import subprocess
 import sys
 
@@ -6,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import svckit as sk
+from svckit import graphs
 from svckit.graphs import GraphInputError
 from svckit.oracle import _und_connected
 
-from helpers import seeded_random_graphs
+from helpers import reference_diameter, seeded_random_graphs
 
 
 def cycle3():
@@ -200,6 +203,69 @@ class TestStats:
         for g, _ in seeded_random_graphs(40):
             st_ = sk.stats(g)
             assert (st_.diameter is not None) == sk.is_strongly_connected(g)
+
+    @staticmethod
+    def _diameter_corpus():
+        # 200 graphs, n spread over 2-300, p around the strong connectivity
+        # threshold ln(n) / n so both outcomes are common
+        out = []
+        for seed in range(200):
+            n = 2 + seed * 298 // 199
+            p = min(1.0, (0.8, 1.3, 2.5)[seed % 3] * math.log(n + 1) / n)
+            out.append(sk.random_digraph(n, p, seed))
+        return out
+
+    def test_diameter_matches_all_pairs_bfs(self):
+        strong = 0
+        for g in self._diameter_corpus():
+            assert sk.stats(g).diameter == reference_diameter(g), g
+            strong += sk.is_strongly_connected(g)
+        assert 60 <= strong <= 180
+
+    def test_diameter_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for g in self._diameter_corpus():
+            if sk.is_strongly_connected(g):
+                h = nx.DiGraph(list(g.edges))
+                h.add_nodes_from(range(g.n))
+                assert sk.stats(g).diameter == nx.diameter(h), g
+                checked += 1
+        assert checked >= 60
+
+    @staticmethod
+    def _bfs_count(monkeypatch, g):
+        calls = []
+        real = graphs._bfs
+
+        def counting(adj, src):
+            calls.append(src)
+            return real(adj, src)
+
+        monkeypatch.setattr(graphs, "_bfs", counting)
+        diameter = sk.stats(g).diameter
+        monkeypatch.setattr(graphs, "_bfs", real)
+        return diameter, len(calls)
+
+    def test_sparse_diameter_needs_few_bfs(self, monkeypatch):
+        # a 140-cycle plus 210 random arcs: fewer than n / 2 BFS, where the
+        # all-pairs loop runs n
+        rng = random.Random(1)
+        order = rng.sample(range(140), 140)
+        arcs = {(order[i - 1], order[i]) for i in range(140)}
+        while len(arcs) < 350:
+            u, v = rng.sample(range(140), 2)
+            arcs.add((u, v))
+        g = sk.DirectedGraph(140, arcs)
+        diameter, calls = self._bfs_count(monkeypatch, g)
+        assert diameter == reference_diameter(g)
+        assert calls < g.n / 2
+
+    def test_complete_diameter_needs_one_bfs_pair(self, monkeypatch):
+        # every out-degree is n - 1, so every eccentricity is bounded by 1
+        # before any BFS; the first pair settles it (not 2n BFS)
+        for n in (2, 3, 7, 20):
+            assert self._bfs_count(monkeypatch, sk.doubled_complete(n)) == (1, 2)
 
     def test_underlying_degrees_match_underlying_graph(self):
         for g, seed in seeded_random_graphs(40, n_lo=1, n_hi=10):
