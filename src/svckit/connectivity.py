@@ -13,21 +13,22 @@ Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic
 order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut delta+(S)
 is crossed by some consecutive pair leaving S).
 
-Minimum weakening sets of size k are enumerated one (k-1)-prefix P at a
-time: the strong articulation points of G - P are the non-trivial
-dominators of G - P and of its reverse from one root (Italiano, Laura &
-Santaroni 2012), and each one above max(P) is a candidate to complete P,
-as is the root. Edge candidates come from the edge-split graph, whose
-midpoint articulation points are the strong bridges; sizing comes from
-the vertex adjacency. Every candidate is settled, and its SCC sizes
-counted, by one Kosaraju pass over the vertex lists, with removed
-vertices masked or removed arcs left out of copies, so no graph is ever
-rebuilt. This is the k = 2 reduction {v} + SAP(G - v) of Georgiadis,
-Italiano, Laura & Parotsidis (2015), applied to every prefix: C(n, k-1)
-dominator passes instead of C(n, k) graph builds and SCC checks. Edge
-sets draw prefixes and completions from E_k, the edges (u, v) with
-lambda(u, v) = k = sigma1, which are exactly the members of minimum edge
-sets: C(|E_k|, k-1) passes plus m capped flows.
+Minimum vertex sets of size k, and edge sets at k = 1, are enumerated
+one (k-1)-prefix P at a time: the strong articulation points of G - P
+are the non-trivial dominators of G - P and of its reverse from one root
+(Italiano, Laura & Santaroni 2012), and each one above max(P) is a
+candidate to complete P, as is the root. Edge candidates come from the
+edge-split graph, whose midpoint articulation points are the strong
+bridges; sizing comes from the vertex adjacency. Every candidate is
+settled, and its SCC sizes counted, by one Kosaraju pass over the vertex
+lists, with removed vertices masked or removed arcs left out of copies,
+so no graph is ever rebuilt. This is the k = 2 reduction
+{v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
+applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
+graph builds and SCC checks. Edge sets at k = sigma1 >= 2 are the
+minimum cuts of the cyclic pairs instead, listed from each pair's
+residual network (Picard & Queyranne 1980): n flows capped at k + 1
+plus O(m) per closed set.
 """
 
 from __future__ import annotations
@@ -214,18 +215,24 @@ def _adjacency(
     return items, g.n, succ, pred
 
 
-def _edge_pool(g: DirectedGraph, k: int) -> Sequence[int]:
-    """Indices of the sorted edges (u, v) with lambda(u, v) = k = sigma1,
-    from m flows capped at k + 1 on one network. Every arc of a weakening
-    set of size k has lambda <= k, since the set is some delta+(S); and
-    sigma1 is the least lambda of an arc, so no lambda is below k."""
-    items = g.sorted_edges()
-    net = EdgeFlowNetwork(g)
-    pool = []
-    for i, (u, v) in enumerate(items):
-        if net.flow(u, v, cap=k + 1).value == k:
-            pool.append(i)
-    return pool
+def _prefix_sets(g: Graph, kind: str, k: int) -> Iterator[Tuple]:
+    """Candidate k-subsets W in lexicographic order. W is a weakening set
+    exactly when its last member s breaks the strong connectivity of
+    g - (W - {s}). So each (k-1)-prefix P of the items tries as s the
+    ``_candidates`` above max(P): the cut points of g - P from one
+    dominator pass rooted at its smallest remaining node, and that root
+    when it is above max(P) too, or every s above max(P) when the pass
+    does not apply. Edge candidates are the midpoints n + i of the edge
+    split graph, rooted at vertex 0, which is never removed."""
+    items, offset, succ, pred = _adjacency(g, kind)
+    # a prefix needs a completion above its last member
+    for prefix in itertools.combinations(range(len(items) - 1), k - 1):
+        lo = offset + (prefix[-1] + 1 if prefix else 0)
+        dead = bytearray(len(succ))
+        for i in prefix:
+            dead[offset + i] = 1
+        for c in _candidates(succ, pred, dead, lo):
+            yield tuple(items[i] for i in prefix + (c - offset,))
 
 
 def _weakening_sets(
@@ -236,55 +243,45 @@ def _weakening_sets(
     connected, in lexicographic order. k >= 3 raises EnumerationGuardError
     unless ``allow_large``.
 
-    W is such a set exactly when its last member s breaks the strong
-    connectivity of g - (W - {s}). So each (k-1)-prefix P tries as s the
-    ``_candidates`` above max(P): the cut points of g - P from one
-    dominator pass rooted at its smallest remaining node, and that root
-    when it is above max(P) too, or every s above max(P) when the pass
-    does not apply. Each s is settled by one Kosaraju pass over the vertex
-    lists, which also gives the SCC sizes: a vertex is masked dead, an
-    edge set's arcs are left out of copies of the lists they touch. Edge
-    candidates are the midpoints n + i of the edge split graph, rooted at
-    vertex 0, which is never removed. Edge prefixes come from E_k
-    (``_edge_pool``), and completions land in it without a check: a
-    completion c of P is a strong bridge of g - P, so P + c is a minimum
-    set, some delta+(S) of size k = sigma1, and all its arcs have lambda = k.
+    Vertex sets, and edge sets at k = 1, are drawn from ``_prefix_sets``.
+    Edge sets at k >= 2 are the minimum cuts of the cyclic pairs
+    (v, v + 1 mod n) from ``EdgeFlowNetwork.min_cuts``, de-duplicated and
+    sorted. Each set is settled and sized by one Kosaraju pass over the
+    vertex lists: a vertex is masked dead, an edge set's arcs are left out
+    of copies of the lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
         raise EnumerationGuardError(
             f"{name}={k}: subset enumeration needs allow_large=True"
         )
+    if kind == "edge" and k >= 2:
+        net = EdgeFlowNetwork(g)
+        sets = sorted({cut for v in range(g.n)
+                       for cut in net.min_cuts(v, (v + 1) % g.n, k)})
+    else:
+        sets = _prefix_sets(g, kind, k)
     out = WitnessList()
-    items, offset, succ, pred = _adjacency(g, kind)
     _, _, vsucc, vpred = _adjacency(g, "vertex")
-    # at k = 1 the only prefix is empty, so the pool's flows save nothing
-    pool = _edge_pool(g, k) if kind == "edge" and k >= 2 else range(len(items))
-    # a prefix needs a completion above its last member
-    for prefix in itertools.combinations(pool[:-1], k - 1):
-        lo = offset + (prefix[-1] + 1 if prefix else 0)
-        dead = bytearray(len(succ))
-        for i in prefix:
-            dead[offset + i] = 1
-        for c in _candidates(succ, pred, dead, lo):
-            members = tuple(items[i] for i in prefix + (c - offset,))
-            if kind == "vertex":
-                dead[c] = 1
-                comps = _components(succ, pred, dead)
-                dead[c] = 0
-            else:
-                s, p = vsucc[:], vpred[:]
-                for u, v in members:
-                    s[u] = [w for w in s[u] if w != v]
-                    p[v] = [w for w in p[v] if w != u]
-                comps = _components(s, p, bytearray(g.n))
-            sizes = sorted(map(len, comps), reverse=True)
-            if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
-                continue
-            out.append(WeakeningSet(kind, members, tuple(sizes)))
-            if limit is not None and len(out) >= limit:
-                out.capped = True
-                return out
+    for members in sets:
+        if kind == "vertex":
+            dead = bytearray(g.n)
+            for v in members:
+                dead[v] = 1
+            comps = _components(vsucc, vpred, dead)
+        else:
+            s, p = vsucc[:], vpred[:]
+            for u, v in members:
+                s[u] = [w for w in s[u] if w != v]
+                p[v] = [w for w in p[v] if w != u]
+            comps = _components(s, p, bytearray(g.n))
+        sizes = sorted(map(len, comps), reverse=True)
+        if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
+            continue
+        out.append(WeakeningSet(kind, members, tuple(sizes)))
+        if limit is not None and len(out) >= limit:
+            out.capped = True
+            return out
     return out
 
 
@@ -312,11 +309,12 @@ def weakening_edge_sets(
     """All edge subsets of size sigma1 whose removal breaks strong
     connectivity, in lexicographic order of sorted members.
 
-    Enumeration costs C(|E_k|, k-1) passes plus m capped flows: one
-    strong bridge pass (dominator trees of the edge split graph minus P,
-    O(m) each) per (k - 1)-subset P of E_k, the edges whose local edge
-    connectivity is k = sigma1, found by one flow per edge capped at
-    k + 1 (none at k = 1). sigma1 >= 3 needs allow_large=True.
+    At sigma1 = 1 enumeration costs one strong bridge pass (dominator
+    trees of the edge split graph, O(m)). At k = sigma1 >= 2 it costs n
+    flows capped at k + 1, one per cyclic pair (v, v + 1 mod n), plus
+    O(m) per closed set of a residual network at value k, each of which
+    gives one minimum cut (Picard & Queyranne 1980); no dominator pass
+    runs. sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "edge", sec(g), limit, allow_large)

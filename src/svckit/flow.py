@@ -18,7 +18,7 @@ disjoint paths, which is what Menger-style vertex cuts require.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .graphs import Graph, GraphInputError
 
@@ -163,6 +163,50 @@ class EdgeFlowNetwork(_Network):
         cut = tuple((u, v) for u in range(self.g.n) if parent[u] != -1
                     for v in self.g.successors(u) if parent[v] == -1)
         return FlowAnswer(value=value, cut=cut, saturated=False)
+
+    def min_cuts(self, s: int, t: int, k: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+        """Every minimum s->t edge cut as delta+(T), in sorted edge order,
+        when the s->t flow is at most k; nothing when it exceeds k.
+
+        T ranges over the sets that hold s, miss t and have no arc leaving
+        them in the final residual network (Picard & Queyranne 1980). They
+        are listed by branching on the smallest undecided vertex: into T
+        with its residual descendants, or out with its residual ancestors.
+        Each leaf is one T, with O(m) work; distinct leaves may give one
+        cut. The stack is explicit, since its depth reaches n."""
+        _check_pair(self.g, s, t)
+        cap = self.template[:]
+        if self._max_flow(cap, s, t, k + 1)[1] is None:
+            return
+        head, to, n = self.head, self.to, self.size
+
+        def settle(side: List[int], v: int, mark: int) -> List[int]:
+            # v with its descendants into T (mark 1), or with its ancestors
+            # out (mark -1). Arc eid leaves to[eid ^ 1], so in head[u] the
+            # residual arc u -> to[eid] is eid and to[eid] -> u is eid ^ 1
+            flip = 0 if mark > 0 else 1
+            side = side[:]
+            side[v] = mark
+            todo = [v]
+            for u in todo:
+                for eid in head[u]:
+                    w = to[eid]
+                    if cap[eid ^ flip] and not side[w]:
+                        side[w] = mark
+                        todo.append(w)
+            return side
+
+        stack = [(settle(settle([0] * n, s, 1), t, -1), 0)]
+        while stack:
+            side, v = stack.pop()
+            while v < n and side[v]:
+                v += 1
+            if v == n:
+                yield tuple((u, w) for u in range(n) if side[u] > 0
+                            for w in self.g.successors(u) if side[w] < 0)
+            else:
+                stack.append((settle(side, v, -1), v + 1))
+                stack.append((settle(side, v, 1), v + 1))
 
 
 def edge_max_flow(

@@ -12,7 +12,6 @@ from svckit.connectivity import (
     _adjacency,
     _candidates,
     _degrees,
-    _edge_pool,
     _vertex_upper_bound,
     _weakening_sets,
 )
@@ -204,15 +203,15 @@ class TestWeakeningSets:
         assert tiny and broken
 
     @staticmethod
-    def _assert_pool_is_member_union(g, witnesses):
-        items = g.sorted_edges()
-        pool = {items[i] for i in _edge_pool(g, sk.sec(g))}
-        assert pool == {e for members in witnesses for e in members}, g
+    def _assert_cuts_are_the_sets(g, witnesses):
+        # the minimum cuts of the cyclic pairs are exactly the minimum
+        # edge sets, so their member union is that of those sets too
+        k, net = sk.sec(g), EdgeFlowNetwork(g)
+        cuts = {cut for v in range(g.n) for cut in net.min_cuts(v, (v + 1) % g.n, k)}
+        assert cuts == set(witnesses), g
 
-    def test_edge_pool_is_member_union_gamma(self):
-        # E_k, the edges with lambda(u, v) = k = sigma1, are exactly the
-        # members of minimum edge sets; gamma(a < 4, 4) has 14 vertices,
-        # past the oracle
+    def test_cyclic_pair_cuts_are_the_sets_gamma(self):
+        # gamma(a < 4, 4) has 14 vertices, past the oracle
         for b in range(1, 5):
             for a in range(1, b + 1):
                 g = sk.gamma(sk.FamilyParams(a, b))
@@ -220,44 +219,57 @@ class TestWeakeningSets:
                     sets = oracle_weakening_sets(g, "edge")
                 else:
                     sets, _ = reference_weakening_sets(g, "edge", sk.sec(g))
-                self._assert_pool_is_member_union(g, [m for m, _ in sets])
+                self._assert_cuts_are_the_sets(g, [m for m, _ in sets])
 
-    def test_edge_pool_is_member_union_random(self):
+    def test_cyclic_pair_cuts_are_the_sets_random(self):
         # the oracle's edge subsets are capped as in test_matches_oracle
         checked = 0
         for g, seed in strongly_connected_corpus(100, n_hi=9):
             if math.comb(g.m, sk.sec(g)) <= 20_000:
                 sets = oracle_weakening_sets(g, "edge")
-                self._assert_pool_is_member_union(g, [m for m, _ in sets])
+                self._assert_cuts_are_the_sets(g, [m for m, _ in sets])
                 checked += 1
         assert checked >= 80
 
-    def test_edge_pool_bounds_the_work(self, monkeypatch):
-        # gamma(3, 4): sigma1 = 3 and |E_3| = 30 of m = 70 edges, so one
-        # capped flow per edge and one pass per 2-prefix of E_3 with a
-        # completion above it: C(29, 2) = 406, not C(69, 2) = 2346 over
-        # all edges
+    def test_cyclic_pair_flows_bound_the_work(self, monkeypatch):
+        # gamma(3, 4): sigma1 = 3 on n = 14, m = 70. Its 10 edge sets come
+        # from one flow capped at k + 1 per cyclic pair and no dominator
+        # pass, where a pool of edges with lambda = k (one flow per edge)
+        # and one pass per 2-prefix of it took 70 flows and 406 passes
         g = sk.gamma(sk.FamilyParams(3, 4))
         k = sk.sec(g)
-        assert (k, g.m, len(_edge_pool(g, k))) == (3, 70, 30)
         module = importlib.import_module("svckit.connectivity")
         flows, passes = [], []
-        flow = EdgeFlowNetwork.flow
+        max_flow = EdgeFlowNetwork._max_flow
 
-        def counted_flow(net, s, t, cap=None):
-            flows.append((s, t))
-            return flow(net, s, t, cap=cap)
+        def counted_flow(net, cap, s, t, limit):
+            flows.append((s, t, limit))
+            return max_flow(net, cap, s, t, limit)
 
         def counted_candidates(*args):
             passes.append(args)
             return _candidates(*args)
 
-        monkeypatch.setattr(EdgeFlowNetwork, "flow", counted_flow)
+        monkeypatch.setattr(EdgeFlowNetwork, "_max_flow", counted_flow)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "edge", k, None, True)
-        assert len(flows) == g.m
-        assert len(passes) == math.comb(29, 2)
-        assert sets
+        assert (k, g.n, g.m, len(sets)) == (3, 14, 70, 10)
+        assert flows == [(v, (v + 1) % g.n, k + 1) for v in range(g.n)]
+        assert passes == []
+
+    def test_edge_sets_match_reference_up_to_k4(self):
+        # n >= 13, past the oracle: unions of k random Hamiltonian cycles
+        # at k = 2 and 3 in full, and unions of 4 arc-disjoint ones up to
+        # the sets through an out-arc of vertex 0: all C(52, 4) subsets
+        # would take the reference about 10 s per graph
+        for k, n, limits in ((2, 20, (None, 1, 3)), (3, 13, (None, 3))):
+            g = next(g for seed in range(100) if sk.sec(g := _cycle_union(n, k, seed)) == k)
+            self._assert_matches_reference(g, "edge", k, limits)
+        for seed in (0, 1):
+            g = _disjoint_cycles(13, 4, seed)
+            head = sum(w.members[0][0] == 0 for w in sk.weakening_edge_sets(g, allow_large=True))
+            assert (sk.sec(g), g.m, head) == (4, 52, 5)
+            self._assert_matches_reference(g, "edge", 4, (1, head))
 
     def test_edge_sizes_match_rebuild_past_oracle(self):
         # n 13-40: each edge set's sizes are those of g - W rebuilt, and the
@@ -465,6 +477,21 @@ def _cycle_union(n, count, seed):
         order = list(range(n))
         rng.shuffle(order)
         arcs |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+    return sk.DirectedGraph(n, arcs)
+
+
+def _disjoint_cycles(n, count, seed):
+    # union of `count` arc-disjoint random Hamiltonian cycles: every in-
+    # and out-degree is exactly `count`
+    rng = random.Random(seed)
+    arcs = set()
+    while count:
+        order = list(range(n))
+        rng.shuffle(order)
+        cycle = {(order[i], order[(i + 1) % n]) for i in range(n)}
+        if not cycle & arcs:
+            arcs |= cycle
+            count -= 1
     return sk.DirectedGraph(n, arcs)
 
 

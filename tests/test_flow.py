@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 
 import pytest
 
@@ -6,7 +8,12 @@ import svckit as sk
 from svckit.flow import EdgeFlowNetwork, VertexFlowNetwork
 from svckit.graphs import GraphInputError
 
-from helpers import brute_min_edge_cut, brute_min_vertex_cut, seeded_random_graphs
+from helpers import (
+    brute_min_edge_cut,
+    brute_min_vertex_cut,
+    reaches,
+    seeded_random_graphs,
+)
 
 
 def small_corpus():
@@ -169,6 +176,42 @@ class TestMonotonicityAndCap:
         ):
             with pytest.raises(GraphInputError):
                 flow(0, 2, cap=-1)
+
+
+class TestMinCuts:
+    def test_every_minimum_cut_brute(self):
+        # every ordered pair of seeded graphs with n <= 8: at any cap from
+        # the flow value k up, the cuts are exactly the k-edge subsets whose
+        # removal cuts t off from s, each in sorted edge order; below k
+        # there are none. Pairs with too many k-subsets are skipped
+        pairs = several = 0
+        for g, seed in seeded_random_graphs(60, n_lo=3, n_hi=8):
+            edges = g.sorted_edges()
+            net = EdgeFlowNetwork(g)
+            for s, t in itertools.permutations(range(g.n), 2):
+                k = net.flow(s, t).value
+                if math.comb(g.m, k) > 2000:
+                    continue
+                want = {
+                    cut for cut in itertools.combinations(edges, k)
+                    if not reaches(g.n, set(edges) - set(cut), s, t)
+                }
+                for cap in (k, k + 2):
+                    got = list(net.min_cuts(s, t, cap))
+                    assert set(got) == want, (seed, s, t, cap)
+                    assert all(list(cut) == sorted(cut) for cut in got)
+                if k:
+                    assert list(net.min_cuts(s, t, k - 1)) == [], (seed, s, t)
+                pairs += 1
+                several += len(want) > 1
+        assert pairs >= 1000 and several >= 200
+
+    def test_directed_cycle(self):
+        # one minimum cut per arc on the s -> t path, each reached from
+        # several closed sets T, since the arcs off the path may join T
+        net = EdgeFlowNetwork(sk.directed_cycle(6))
+        assert set(net.min_cuts(1, 4, 1)) == {((1, 2),), ((2, 3),), ((3, 4),)}
+        assert list(net.min_cuts(1, 4, 0)) == []
 
 
 class TestNetworkReuse:
