@@ -28,7 +28,7 @@ applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
 graph builds and SCC checks. Edge sets at k = sigma1 >= 2 are the
 minimum cuts of the cyclic pairs instead, listed from each pair's
 residual network (Picard & Queyranne 1980): n flows capped at k + 1
-plus O(m) per closed set.
+plus O(m) per cut.
 """
 
 from __future__ import annotations
@@ -312,9 +312,9 @@ def weakening_edge_sets(
     At sigma1 = 1 enumeration costs one strong bridge pass (dominator
     trees of the edge split graph, O(m)). At k = sigma1 >= 2 it costs n
     flows capped at k + 1, one per cyclic pair (v, v + 1 mod n), plus
-    O(m) per closed set of a residual network at value k, each of which
-    gives one minimum cut (Picard & Queyranne 1980); no dominator pass
-    runs. sigma1 >= 3 needs allow_large=True.
+    O(m) per minimum cut of a pair, from its residual network (Picard &
+    Queyranne 1980), with no dominator pass; ``limit`` caps the sizing,
+    not that listing. sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "edge", sec(g), limit, allow_large)

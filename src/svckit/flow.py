@@ -168,17 +168,22 @@ class EdgeFlowNetwork(_Network):
         """Every minimum s->t edge cut as delta+(T), in sorted edge order,
         when the s->t flow is at most k; nothing when it exceeds k.
 
-        T ranges over the sets that hold s, miss t and have no arc leaving
-        them in the final residual network (Picard & Queyranne 1980). They
-        are listed by branching on the smallest undecided vertex: into T
-        with its residual descendants, or out with its residual ancestors.
-        Each leaf is one T, with O(m) work; distinct leaves may give one
-        cut. The stack is explicit, since its depth reaches n."""
+        The minimum cuts are delta+(T) for the sets T that hold s, miss t
+        and have no arc leaving them in the final residual network (Picard
+        & Queyranne 1980). Many T can give one cut, so each cut comes from
+        its least T only: what s reaches in g minus the cut, all inside T.
+        Branching on the smallest undecided vertex with an arc of g from T,
+        into T with its residual descendants or out with its residual
+        ancestors, ends at exactly those T: a residual arc u -> w not in g
+        reverses a flow arc w -> u on a flow path from s or a flow cycle
+        through u, both inside T. So every leaf is a distinct cut, after
+        O(m) work per node (Provan & Shier 1996). The stack is explicit,
+        since its depth reaches n."""
         _check_pair(self.g, s, t)
         cap = self.template[:]
         if self._max_flow(cap, s, t, k + 1)[1] is None:
             return
-        head, to, n = self.head, self.to, self.size
+        head, to, n, succ = self.head, self.to, self.size, self.g.successors
 
         def settle(side: List[int], v: int, mark: int) -> List[int]:
             # v with its descendants into T (mark 1), or with its ancestors
@@ -196,17 +201,18 @@ class EdgeFlowNetwork(_Network):
                         todo.append(w)
             return side
 
-        stack = [(settle(settle([0] * n, s, 1), t, -1), 0)]
+        stack = [settle(settle([0] * n, s, 1), t, -1)]
         while stack:
-            side, v = stack.pop()
-            while v < n and side[v]:
-                v += 1
-            if v == n:
-                yield tuple((u, w) for u in range(n) if side[u] > 0
-                            for w in self.g.successors(u) if side[w] < 0)
+            side = stack.pop()
+            # arcs leaving T, in sorted edge order: the cut, or a frontier
+            arcs = [(u, w) for u in range(n) if side[u] > 0
+                    for w in succ(u) if side[w] <= 0]
+            v = min((w for _, w in arcs if not side[w]), default=None)
+            if v is None:
+                yield tuple(arcs)
             else:
-                stack.append((settle(side, v, -1), v + 1))
-                stack.append((settle(side, v, 1), v + 1))
+                stack.append(settle(side, v, -1))
+                stack.append(settle(side, v, 1))
 
 
 def edge_max_flow(

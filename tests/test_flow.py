@@ -182,8 +182,8 @@ class TestMinCuts:
     def test_every_minimum_cut_brute(self):
         # every ordered pair of seeded graphs with n <= 8: at any cap from
         # the flow value k up, the cuts are exactly the k-edge subsets whose
-        # removal cuts t off from s, each in sorted edge order; below k
-        # there are none. Pairs with too many k-subsets are skipped
+        # removal cuts t off from s, each once and in sorted edge order;
+        # below k there are none. Pairs with too many k-subsets are skipped
         pairs = several = 0
         for g, seed in seeded_random_graphs(60, n_lo=3, n_hi=8):
             edges = g.sorted_edges()
@@ -198,7 +198,7 @@ class TestMinCuts:
                 }
                 for cap in (k, k + 2):
                     got = list(net.min_cuts(s, t, cap))
-                    assert set(got) == want, (seed, s, t, cap)
+                    assert sorted(got) == sorted(want), (seed, s, t, cap)
                     assert all(list(cut) == sorted(cut) for cut in got)
                 if k:
                     assert list(net.min_cuts(s, t, k - 1)) == [], (seed, s, t)
@@ -207,11 +207,36 @@ class TestMinCuts:
         assert pairs >= 1000 and several >= 200
 
     def test_directed_cycle(self):
-        # one minimum cut per arc on the s -> t path, each reached from
-        # several closed sets T, since the arcs off the path may join T
+        # one minimum cut per arc on the s -> t path, each once, though the
+        # vertices off the path may join any closed set T
         net = EdgeFlowNetwork(sk.directed_cycle(6))
-        assert set(net.min_cuts(1, 4, 1)) == {((1, 2),), ((2, 3),), ((3, 4),)}
+        assert sorted(net.min_cuts(1, 4, 1)) == [((1, 2),), ((2, 3),), ((3, 4),)]
         assert list(net.min_cuts(1, 4, 0)) == []
+
+    def test_one_leaf_per_cut_on_parallel_blobs(self):
+        # complete digraphs A, M_1..M_r, Z on 3 vertices, with 2 arcs
+        # A -> M_i, 2 arcs M_i -> Z and 2 arcs Z -> A. Every subset of the
+        # M_i joins Z in a closed set T with delta+(T) = the Z -> A arcs,
+        # so listing closed sets takes 2^r leaves for that one cut of the
+        # pair (last vertex of Z, 0); each cut of each pair comes once
+        r = 12
+        g = _parallel_blobs(r)
+        z, net = 3 * (r + 1), EdgeFlowNetwork(g)
+        cuts = [list(net.min_cuts(s, (s + 1) % g.n, 2)) for s in range(g.n)]
+        assert (sk.sec(g), g.n) == (2, 42)
+        assert cuts[-1] == [((z + 1, 0), (z + 2, 1))]
+        assert all(len(c) == len(set(c)) for c in cuts)
+        assert sum(map(len, cuts)) == 64
+
+
+def _parallel_blobs(r):
+    # A = 0..2, M_i = 3i..3i+2 for i = 1..r, Z = 3(r+1)..3(r+1)+2
+    arcs = {(3 * b + x, 3 * b + y) for b in range(r + 2)
+            for x, y in itertools.permutations(range(3), 2)}
+    z = 3 * (r + 1)
+    for m in range(3, z, 3):
+        arcs |= {(0, m), (1, m + 1), (m + 1, z), (m + 2, z + 1)}
+    return sk.DirectedGraph(3 * (r + 2), arcs | {(z + 1, 0), (z + 2, 1)})
 
 
 class TestNetworkReuse:
