@@ -12,12 +12,18 @@ or an ``UndirectedGraph`` read as its doubled digraph.
 
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc) so the flow value counts internally
-disjoint paths, which is what Menger-style vertex cuts require.
+disjoint paths, which is what Menger-style vertex cuts require. A vertex
+flow starts from a greedy packing of disjoint paths s -> x -> t, then
+s -> a -> b -> t, and augments only for the rest (Even & Tarjan 1975).
+Values and cuts do not depend on the starting flow: a saturated flow only
+certifies its cap, and every maximum flow leaves the same set reachable
+from s in its residual network, which is where the cut is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, List, Optional, Tuple
 
 from .graphs import Graph, GraphInputError
@@ -58,17 +64,17 @@ class _Network:
         self.template.append(0)
 
     def _max_flow(
-        self, cap: List[int], s: int, t: int, limit: Optional[int]
+        self, cap: List[int], s: int, t: int, limit: Optional[int], flow: int = 0
     ) -> Tuple[int, Optional[List[int]]]:
         """Augment one unit at a time along a shortest residual path
-        (capacities are integral), stopping at ``limit``. Returns
+        (capacities are integral), from the ``flow`` units already written
+        into ``cap``, stopping at ``limit``. Returns
         (value, None) when the limit was reached, else (value, parent)
         where ``parent[v] != -1`` marks the vertices reachable from s in
         the final residual network."""
         if limit is not None and limit < 0:
             raise GraphInputError(f"cap must be non-negative, got {limit}")
         head, to, size = self.head, self.to, self.size
-        flow = 0
         while True:
             if limit is not None and flow >= limit:
                 return limit, None
@@ -130,13 +136,36 @@ class VertexFlowNetwork(_Network):
             )
         # from s_out to t_in: no path enters s_in or leaves t_in, so the
         # internal arcs of s and t never carry flow or join the cut
-        value, parent = self._max_flow(self.template[:], 2 * s + 1, 2 * t, cap)
+        caps = self.template[:]
+        packed = self._pack(caps, s, t, cap)
+        value, parent = self._max_flow(caps, 2 * s + 1, 2 * t, cap, packed)
         if parent is None:
             return FlowAnswer(value=value, cut=(), saturated=True)
         cut = tuple(
             w for w in range(g.n) if parent[2 * w] != -1 and parent[2 * w + 1] == -1
         )
         return FlowAnswer(value=value, cut=cut, saturated=False)
+
+    def _pack(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> int:
+        """Write vertex-disjoint paths s -> x -> t, then s -> a -> b -> t,
+        into ``cap`` until ``limit``; returns how many. A middle vertex w
+        is free while its internal arc 2w has capacity left."""
+        head, to = self.head, self.to
+        into = {to[e] >> 1: e ^ 1 for e in head[2 * t] if e & 1}  # x_out -> t_in
+        out = [(e, to[e] >> 1) for e in head[2 * s + 1] if not e & 1]  # s_out -> a_in
+        paths = chain(
+            ((e, 2 * x, into[x]) for e, x in out if x in into),
+            ((e, 2 * a, f, to[f], into[to[f] >> 1]) for e, a in out for f in head[2 * a + 1]
+             if not f & 1 and cap[2 * a] and cap[to[f]] and to[f] >> 1 in into))
+        flow = 0
+        for arcs in paths if limit != 0 else ():
+            for e in arcs:
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+            flow += 1
+            if flow == limit:
+                break
+        return flow
 
 
 class EdgeFlowNetwork(_Network):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -129,6 +130,69 @@ class TestVertexMaxFlow:
                 from helpers import reaches
 
                 assert not reaches(h.n, h.edges, mapping[s], mapping[t])
+
+
+class TestPackedStart:
+    """Vertex flows start from greedily packed paths s -> x -> t and
+    s -> a -> b -> t; augmenting paths must be free to cancel them."""
+
+    def test_reroute_across_the_cut(self):
+        # the packing takes 0 -> 1 -> 2 -> 5, which blocks 3 -> 2; the
+        # maximum uses 0 -> 1 -> 4 -> 5 and 0 -> 3 -> 2 -> 5, so the
+        # augmenting path 0 -> 3 -> 2 <- 1 -> 4 -> 5 must cancel 1 -> 2
+        g = sk.DirectedGraph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (3, 2), (2, 5), (4, 5)])
+        net = VertexFlowNetwork(g)
+        assert net._pack(net.template[:], 0, 5, None) == 1
+        assert net.flow(0, 5) == sk.FlowAnswer(value=2, cut=(1, 3), saturated=False)
+        assert net.flow(0, 5, cap=1) == sk.FlowAnswer(value=1, cut=(), saturated=True)
+
+    def test_packing_stops_at_the_cap(self):
+        # five paths 0 -> x -> 6: at cap c the packing saturates exactly c
+        # internal arcs, and the flow needs no augmenting path
+        g = sk.DirectedGraph(7, [(0, x) for x in range(1, 6)] + [(x, 6) for x in range(1, 6)])
+        net = VertexFlowNetwork(g)
+        for limit, packed in ((0, 0), (1, 1), (3, 3), (None, 5), (9, 5)):
+            caps = net.template[:]
+            assert net._pack(caps, 0, 6, limit) == packed
+            assert sum(caps[2 * w] == 0 for w in range(g.n)) == packed
+            ans = net.flow(0, 6, limit)
+            assert ans.value == packed and ans.saturated == (limit == packed)
+
+    def test_matches_networkx_past_oracle(self):
+        # local_node_connectivity on seeded digraphs with n 15-40, at caps
+        # None and 2, on a fixed sample of non-arc pairs of each graph; in
+        # over half the pairs the packing falls short of the value
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.connectivity import (
+            build_auxiliary_node_connectivity,
+            local_node_connectivity,
+        )
+        from networkx.algorithms.flow import build_residual_network
+
+        rng = random.Random(2024)
+        values, short = set(), 0
+        for seed in range(30):
+            n = rng.randint(15, 40)
+            g = sk.random_digraph(n, rng.choice((0.08, 0.12, 0.2, 0.35)), seed)
+            dg = nx.DiGraph(list(g.edges))
+            dg.add_nodes_from(range(n))
+            aux = build_auxiliary_node_connectivity(dg)
+            res = build_residual_network(aux, "capacity")
+            net = VertexFlowNetwork(g)
+            pairs = [(s, t) for s, t in itertools.permutations(range(n), 2)
+                     if not g.has_edge(s, t)]
+            for s, t in rng.sample(pairs, 30):
+                want = local_node_connectivity(dg, s, t, auxiliary=aux, residual=res)
+                ans = net.flow(s, t)
+                assert (ans.value, ans.saturated) == (want, False), (seed, s, t)
+                assert len(ans.cut) == want and s not in ans.cut and t not in ans.cut
+                kept = [(u, v) for u, v in g.edges if u not in ans.cut and v not in ans.cut]
+                assert not reaches(n, kept, s, t), (seed, s, t)
+                capped = net.flow(s, t, cap=2)
+                assert capped.value == min(want, 2) and capped.saturated == (want >= 2)
+                values.add(want)
+                short += net._pack(net.template[:], s, t, None) < want
+        assert len(values) >= 10 and short >= 450
 
 
 class TestMonotonicityAndCap:
