@@ -19,10 +19,11 @@ are the non-trivial dominators of G - P and of its reverse from one root
 (Italiano, Laura & Santaroni 2012), and each one above max(P) is a
 candidate to complete P, as is the root. Edge candidates come from the
 edge-split graph, whose midpoint articulation points are the strong
-bridges; sizing comes from the vertex adjacency. Every candidate is
-settled, and its SCC sizes counted, by one Kosaraju pass over the vertex
-lists, with removed vertices masked or removed arcs left out of copies,
-so no graph is ever rebuilt. This is the k = 2 reduction
+bridges. A dominator c is sized from its trees: G - P - c is the root's
+SCC plus the SCCs among c's proper descendants in the two (Georgiadis,
+Italiano & Parotsidis 2017). A full Kosaraju pass over the vertex lists
+sizes only the root candidate, the fallback and the edge cuts at k >= 2,
+and no graph is rebuilt. This is the k = 2 reduction
 {v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
 applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
 graph builds and SCC checks. Edge sets at k = sigma1 >= 2 are the
@@ -231,8 +232,8 @@ def _prefix_sets(g: Graph, kind: str, k: int) -> Iterator[Tuple]:
         dead = bytearray(len(succ))
         for i in prefix:
             dead[offset + i] = 1
-        for c in _candidates(succ, pred, dead, lo):
-            yield tuple(items[i] for i in prefix + (c - offset,))
+        for c, away in _candidates(succ, pred, dead, lo):
+            yield tuple(items[i] for i in prefix + (c - offset,)), away
 
 
 def _weakening_sets(
@@ -246,9 +247,10 @@ def _weakening_sets(
     Vertex sets, and edge sets at k = 1, are drawn from ``_prefix_sets``.
     Edge sets at k >= 2 are the minimum cuts of the cyclic pairs
     (v, v + 1 mod n) from ``EdgeFlowNetwork.min_cuts``, de-duplicated and
-    sorted. Each set is settled and sized by one Kosaraju pass over the
-    vertex lists: a vertex is masked dead, an edge set's arcs are left out
-    of copies of the lists they touch.
+    sorted. Each set is sized by one Kosaraju pass over the vertex lists
+    masked to its ``away`` (every live vertex if None: root candidate,
+    fallback, edge cuts at k >= 2), the root's SCC being the rest; an edge
+    set's arcs are left out of copies of the lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
@@ -257,25 +259,27 @@ def _weakening_sets(
         )
     if kind == "edge" and k >= 2:
         net = EdgeFlowNetwork(g)
-        sets = sorted({cut for v in range(g.n)
-                       for cut in net.min_cuts(v, (v + 1) % g.n, k)})
+        sets = [(cut, None) for cut in sorted({
+            cut for v in range(g.n) for cut in net.min_cuts(v, (v + 1) % g.n, k)})]
     else:
         sets = _prefix_sets(g, kind, k)
     out = WitnessList()
     _, _, vsucc, vpred = _adjacency(g, "vertex")
-    for members in sets:
-        if kind == "vertex":
-            dead = bytearray(g.n)
-            for v in members:
-                dead[v] = 1
-            comps = _components(vsucc, vpred, dead)
-        else:
+    for members, away in sets:
+        s, p = vsucc, vpred
+        if kind == "edge":
             s, p = vsucc[:], vpred[:]
             for u, v in members:
                 s[u] = [w for w in s[u] if w != v]
                 p[v] = [w for w in p[v] if w != u]
-            comps = _components(s, p, bytearray(g.n))
-        sizes = sorted(map(len, comps), reverse=True)
+        dead = bytearray(b"\x01") * g.n
+        # edge members are never vertex ids
+        for v in set(range(g.n)).difference(members) if away is None else away:
+            if v < g.n:
+                dead[v] = 0
+        rest = (g.n - k if kind == "vertex" else g.n) - dead.count(0)  # root's SCC
+        sizes = [len(c) for c in _components(s, p, dead)] + [rest] * (rest > 0)
+        sizes.sort(reverse=True)
         if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
             continue
         out.append(WeakeningSet(kind, members, tuple(sizes)))
@@ -295,7 +299,8 @@ def weakening_vertex_sets(
 
     Enumeration costs C(n, sigma0 - 1) strong articulation point passes
     (dominator trees of g - P and its reverse, O(m) each), one per
-    (sigma0 - 1)-subset P; sigma0 >= 3 needs allow_large=True.
+    (sigma0 - 1)-subset P, each set sized over the vertices its last
+    member cuts off; sigma0 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "vertex", svc(g), limit, allow_large)
@@ -310,11 +315,12 @@ def weakening_edge_sets(
     connectivity, in lexicographic order of sorted members.
 
     At sigma1 = 1 enumeration costs one strong bridge pass (dominator
-    trees of the edge split graph, O(m)). At k = sigma1 >= 2 it costs n
-    flows capped at k + 1, one per cyclic pair (v, v + 1 mod n), plus
-    O(m) per minimum cut of a pair, from its residual network (Picard &
-    Queyranne 1980), with no dominator pass; ``limit`` caps the sizing,
-    not that listing. sigma1 >= 3 needs allow_large=True.
+    trees of the edge split graph, O(m)) and an SCC pass per bridge over
+    the vertices it cuts off. At k = sigma1 >= 2 it costs n flows capped
+    at k + 1, one per cyclic pair (v, v + 1 mod n), plus O(m) per minimum
+    cut of a pair, from its residual network (Picard & Queyranne 1980),
+    and a full O(m) SCC pass per cut; ``limit`` caps the sizing, not that
+    listing. sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "edge", sec(g), limit, allow_large)

@@ -1,5 +1,5 @@
 """Strongly connected components (Kosaraju-Sharir), the condensation DAG,
-and the strong articulation points of a masked subgraph from dominators.
+and a masked subgraph's strong articulation points and what each cuts off.
 
 Both passes are one iterative postorder DFS, the same loop the dominator
 pass of ``_candidates`` runs. Traversal order is pinned to ascending
@@ -13,7 +13,7 @@ graph minus some nodes come without rebuilding the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import DirectedGraph
 
@@ -62,9 +62,10 @@ def _components(
     reverse of the order Tarjan's algorithm emits them in."""
     seen = bytearray(dead)
     finish: List[int] = []
-    for root in range(len(succ)):
-        if not seen[root]:
-            finish += _postorder(root, succ, seen)
+    root = seen.find(0)  # live roots ascending, found at C speed
+    while root >= 0:
+        finish += _postorder(root, succ, seen)
+        root = seen.find(0, root + 1)
     seen = bytearray(dead)
     components = [_postorder(v, pred, seen) for v in reversed(finish) if not seen[v]]
     components.reverse()
@@ -77,10 +78,10 @@ def _dominators(
     pred: Sequence[Sequence[int]],
     dead: bytearray,
     size: int,
-) -> Optional[set]:
-    """Non-trivial dominators other than ``root`` in the flow graph of the
-    live nodes from ``root`` (iterative Cooper-Harvey-Kennedy on a reverse
-    postorder), or None if some of the ``size`` live nodes is unreachable."""
+) -> Optional[List[int]]:
+    """Immediate dominators from ``root`` (iterative Cooper-Harvey-Kennedy
+    on a reverse postorder): the root's is itself, a dead node's -1. None
+    if some of the ``size`` live nodes is unreachable."""
     order = _postorder(root, succ, bytearray(dead))
     if len(order) < size:
         return None
@@ -110,10 +111,7 @@ def _dominators(
             if idom[v] != new:
                 idom[v] = new
                 changed = True
-    doms = set(idom)
-    doms.discard(-1)
-    doms.discard(root)
-    return doms
+    return idom
 
 
 def _candidates(
@@ -121,21 +119,37 @@ def _candidates(
     pred: Sequence[Sequence[int]],
     dead: bytearray,
     lo: int,
-) -> Sequence[int]:
-    """Ascending nodes >= ``lo`` (all of which must be live) that include
-    every node whose removal leaves the live subgraph H not strongly
-    connected or with one vertex node: H's smallest node, the root, when
-    it is ``lo``, then the non-trivial dominators >= ``lo`` of H and of its
-    reverse from the root (Italiano, Laura & Santaroni 2012); or every
-    node >= ``lo`` when H has fewer than 3 nodes or is not strongly
-    connected."""
+) -> Iterator[Tuple[int, Optional[set]]]:
+    """(c, away) for ascending nodes c >= ``lo`` (all of which must be
+    live) that include every node whose removal leaves the live subgraph H
+    not strongly connected or with one vertex node: H's smallest node, the
+    root, when it is ``lo``, then the non-trivial dominators >= ``lo`` of H
+    and of its reverse from the root (Italiano, Laura & Santaroni 2012); or
+    every node >= ``lo`` when H has fewer than 3 nodes or is not strongly
+    connected. A dominator's ``away`` is its proper descendants in both
+    trees, the nodes H - c cuts off from the root; the others' is None."""
     root, size = dead.index(0), dead.count(0)
     fwd = _dominators(root, succ, pred, dead, size) if size >= 3 else None
     rev = None if fwd is None else _dominators(root, pred, succ, dead, size)
     if rev is None:
-        return range(lo, len(succ))
-    cuts = sorted(c for c in fwd | rev if c >= lo)
-    return [root] + cuts if root == lo else cuts  # root <= lo
+        yield from ((c, None) for c in range(lo, len(succ)))
+        return
+    if root == lo:  # root <= lo
+        yield root, None
+    cuts = sorted(c for c in set(fwd) | set(rev) if c >= lo and c != root)  # -1 < lo
+    trees = [{}, {}] if cuts else []  # child lists, kept only below the root's children
+    for idom, kids in zip((fwd, rev), trees):
+        for v, d in enumerate(idom):
+            if d >= 0 and d != root:
+                kids.setdefault(d, []).append(v)
+    for c in cuts:
+        away = set()
+        for kids in trees:
+            below = [c]
+            for v in below:  # grows as it goes: c's subtree, breadth first
+                below += kids.get(v, ())
+            away.update(below[1:])
+        yield c, away
 
 
 def scc(g: DirectedGraph) -> SccPartition:

@@ -173,9 +173,11 @@ class TestWeakeningSets:
         # dead masks drawn as the enumerator draws them: dead nodes only
         # below lo, and only midpoints on the edge-split graph. c >= lo
         # completes the prefix unless exactly one SCC of the rest holds
-        # vertex nodes and it holds more than one
+        # vertex nodes and it holds more than one. A non-None away is
+        # what c cuts off: the live nodes other than c outside the root's
+        # SCC of the rest
         rng = random.Random(13)
-        tiny = broken = 0
+        tiny = broken = cut_off = 0
         for g, seed in seeded_random_graphs(120, n_hi=12):
             for kind in ("vertex", "edge"):
                 _, offset, succ, pred = _adjacency(g, kind)
@@ -191,16 +193,64 @@ class TestWeakeningSets:
                     live = dead.count(0)
                     tiny += live <= 2
                     broken += live >= 3 and len(reference_components(succ, dead)) > 1
-                    got = list(_candidates(succ, pred, dead, lo))
+                    pairs = list(_candidates(succ, pred, dead, lo))
+                    got, away_of = [c for c, _ in pairs], dict(pairs)
                     assert got == sorted(set(got)) and all(c >= lo for c in got)
+                    root = dead.index(0)
                     for c in range(lo, size):
                         dead[c] = 1
-                        held = [x for x in (sum(v < g.n for v in comp)
-                                            for comp in reference_components(succ, dead)) if x]
+                        comps = reference_components(succ, dead)
+                        held = [x for x in (sum(v < g.n for v in comp) for comp in comps) if x]
+                        if away_of.get(c) is not None:
+                            kept = next(comp for comp in comps if root in comp)
+                            cut_off += 1
+                            want = {v for v in range(size) if not dead[v] and v not in kept}
+                            assert away_of[c] == want, (seed, kind, c)
                         dead[c] = 0
                         if not (len(held) == 1 and held[0] > 1):
                             assert c in got, (seed, kind, lo, list(dead), c)
-        assert tiny and broken
+        assert tiny and broken and cut_off
+
+    def test_sizes_match_reference_components_past_oracle(self):
+        # every k = 1 vertex and edge set of sparse fly-shaped graphs, and
+        # every k = 2 vertex set of rat-shaped ones, against the literal
+        # loop over item subsets sized by the reference Tarjan
+        cases = [(_fly_shaped(n, extra, seed), kind, 1)
+                 for n, extra, seed in ((60, 6, 0), (100, 50, 1), (140, 210, 2), (200, 20, 3))
+                 for kind in ("vertex", "edge")]
+        cases += [(_sigma_two(n, seed), "vertex", 2) for n, seed in ((30, 0), (45, 7))]
+        for g, kind, k in cases:
+            enum = sk.weakening_vertex_sets if kind == "vertex" else sk.weakening_edge_sets
+            got = [(w.members, w.resulting_scc_sizes) for w in enum(g, allow_large=True)]
+            items = range(g.n) if kind == "vertex" else g.sorted_edges()
+            want = [(w, sizes) for w in itertools.combinations(items, k)
+                    if len(sizes := _reference_sizes(g, kind, w)) > 1 or sizes == (1,)]
+            assert got == want, (g, kind)
+            assert len(got) >= 5
+
+    def test_five_cycle_sizes_are_all_one(self):
+        g = sk.directed_cycle(5)
+        vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
+        assert [w.resulting_scc_sizes for w in vertex] == [(1, 1, 1, 1)] * 5
+        assert [w.resulting_scc_sizes for w in edge] == [(1, 1, 1, 1, 1)] * 5
+
+    def test_dominator_of_both_trees_cuts_off_several_sccs(self):
+        # root cycle 0 -> 6 -> 7 -> 0 and 0 <-> 1. Vertex 1 alone leads
+        # into the 2-cycles {2, 3} and {4, 5} (4 -> 2 joins them) and into
+        # 8 (8 -> 0), and alone leads out of them and out of 9 (0 -> 9), so
+        # it dominates 2-5 and 8 forward and 2-5 and 9 in reverse. Arc
+        # 2 -> 3 is 2's only way out and 3's only way in
+        g = sk.DirectedGraph(10, [(0, 6), (6, 7), (7, 0), (0, 1), (1, 0), (1, 2), (2, 3),
+                                  (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
+                                  (1, 8), (8, 0), (0, 9), (9, 1)])
+        _, _, succ, pred = _adjacency(g, "vertex")
+        assert dict(_candidates(succ, pred, bytearray(g.n), 0))[1] == {2, 3, 4, 5, 8, 9}
+        vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
+        sizes = {w.members: w.resulting_scc_sizes for w in vertex + edge}
+        assert sizes[(1,)] == (3, 2, 2, 1, 1) and sizes[((2, 3),)] == (8, 1, 1)
+        for kind, got in (("vertex", vertex), ("edge", edge)):
+            assert [(w.members, w.resulting_scc_sizes) for w in got] == (
+                oracle_weakening_sets(g, kind))
 
     @staticmethod
     def _assert_cuts_are_the_sets(g, witnesses):
@@ -460,6 +510,29 @@ def _bound_two(seed):
             arcs |= {(rng.choice(prev), rng.choice(block)), (rng.choice(block), rng.choice(prev))}
         prev = block
     return sk.DirectedGraph(n, arcs)
+
+
+def _fly_shaped(n, extra, seed):
+    # a random Hamiltonian cycle plus `extra` random arcs, as the fly
+    # stand-in's core: many in- or out-degree 1 vertices, sigma0 = 1
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    arcs = {(order[i - 1], order[i]) for i in range(n)}
+    while len(arcs) < n + extra:
+        arcs.add(tuple(rng.sample(range(n), 2)))
+    return sk.DirectedGraph(n, arcs)
+
+
+def _reference_sizes(g, kind, members):
+    # SCC sizes of g - W, descending, from the reference Tarjan
+    succ = [list(g.successors(v)) for v in range(g.n)]
+    dead = bytearray(g.n)
+    for x in members:
+        if kind == "vertex":
+            dead[x] = 1
+        else:
+            succ[x[0]].remove(x[1])
+    return tuple(sorted(map(len, reference_components(succ, dead)), reverse=True))
 
 
 def _first_strong(n, p, seed=0):
