@@ -13,23 +13,19 @@ Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic
 order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut delta+(S)
 is crossed by some consecutive pair leaving S).
 
-Minimum vertex sets of size k, and edge sets at k = 1, are enumerated
-one (k-1)-prefix P at a time: the strong articulation points of G - P
-are the non-trivial dominators of G - P and of its reverse from one root
-(Italiano, Laura & Santaroni 2012), and each one above max(P) is a
-candidate to complete P, as is the root. Edge candidates come from the
-edge-split graph, whose midpoint articulation points are the strong
-bridges. A dominator c is sized from its trees: G - P - c is the root's
-SCC plus the SCCs among c's proper descendants in the two (Georgiadis,
-Italiano & Parotsidis 2017). A full Kosaraju pass over the vertex lists
-sizes only the root candidate, the fallback and the edge cuts at k >= 2,
-and no graph is rebuilt. This is the k = 2 reduction
-{v} + SAP(G - v) of Georgiadis, Italiano, Laura & Parotsidis (2015),
-applied to every prefix: C(n, k-1) dominator passes instead of C(n, k)
-graph builds and SCC checks. Edge sets at k = sigma1 >= 2 are the
-minimum cuts of the cyclic pairs instead, listed from each pair's
-residual network (Picard & Queyranne 1980): n flows capped at k + 1
-plus O(m) per cut.
+Minimum vertex and edge sets at k = 1 come from one dominator pass: the
+strong articulation points of G are the non-trivial dominators of G and
+of its reverse from one root (Italiano, Laura & Santaroni 2012), and the
+strong bridges are the midpoint articulation points of the edge-split
+graph. A dominator c is sized from its trees: G - c is the root's SCC
+plus the SCCs among c's proper descendants in the two (Georgiadis,
+Italiano & Parotsidis 2017). Sets at k = sigma >= 2 are the minimum cuts
+of the pairs that reach sigma, the pivot pairs for vertices and the
+cyclic pairs for edges, listed from each pair's residual network by the
+lister both flow networks share (Picard & Queyranne 1980): one flow
+capped at k + 1 per pair plus O(m) per cut. A full Kosaraju pass over
+the vertex lists sizes the root candidate, the fallback and each cut,
+and no graph is rebuilt.
 """
 
 from __future__ import annotations
@@ -157,6 +153,12 @@ def _pivot_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
         yield from ((x, y) for y in g.successors(v) if x != y and not g.has_edge(x, y))
 
 
+def _cyclic_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
+    """(v, v + 1 mod n) for every v: a minimum edge cut delta+(S) is
+    crossed by some consecutive pair leaving S."""
+    return ((v, (v + 1) % g.n) for v in range(g.n))
+
+
 def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """A minimum vertex cut when k = sigma0: the value and cut of the first
     pair whose vertex flow is at most k (k + 1 and None if none is). Pairs
@@ -189,8 +191,7 @@ def sec(g: Graph) -> int:
     cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0 (``_scan``).
     An UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
-    pairs = ((v, (v + 1) % g.n) for v in range(g.n))
-    return _scan(g, "edge", pairs, min(_degrees(g)))
+    return _scan(g, "edge", _cyclic_pairs(g), min(_degrees(g)))
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -216,26 +217,6 @@ def _adjacency(
     return items, g.n, succ, pred
 
 
-def _prefix_sets(g: Graph, kind: str, k: int) -> Iterator[Tuple]:
-    """Candidate k-subsets W in lexicographic order. W is a weakening set
-    exactly when its last member s breaks the strong connectivity of
-    g - (W - {s}). So each (k-1)-prefix P of the items tries as s the
-    ``_candidates`` above max(P): the cut points of g - P from one
-    dominator pass rooted at its smallest remaining node, and that root
-    when it is above max(P) too, or every s above max(P) when the pass
-    does not apply. Edge candidates are the midpoints n + i of the edge
-    split graph, rooted at vertex 0, which is never removed."""
-    items, offset, succ, pred = _adjacency(g, kind)
-    # a prefix needs a completion above its last member
-    for prefix in itertools.combinations(range(len(items) - 1), k - 1):
-        lo = offset + (prefix[-1] + 1 if prefix else 0)
-        dead = bytearray(len(succ))
-        for i in prefix:
-            dead[offset + i] = 1
-        for c, away in _candidates(succ, pred, dead, lo):
-            yield tuple(items[i] for i in prefix + (c - offset,)), away
-
-
 def _weakening_sets(
     g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
@@ -244,25 +225,32 @@ def _weakening_sets(
     connected, in lexicographic order. k >= 3 raises EnumerationGuardError
     unless ``allow_large``.
 
-    Vertex sets, and edge sets at k = 1, are drawn from ``_prefix_sets``.
-    Edge sets at k >= 2 are the minimum cuts of the cyclic pairs
-    (v, v + 1 mod n) from ``EdgeFlowNetwork.min_cuts``, de-duplicated and
-    sorted. Each set is sized by one Kosaraju pass over the vertex lists
-    masked to its ``away`` (every live vertex if None: root candidate,
-    fallback, edge cuts at k >= 2), the root's SCC being the rest; an edge
-    set's arcs are left out of copies of the lists they touch.
+    At k = 1 the sets are the ``_candidates`` of one dominator pass over
+    g, or over its edge split graph, whose midpoints n + i are the sorted
+    edges. At k >= 2 they are the minimum cuts of the pairs that reach
+    sigma (``_pivot_pairs`` for vertices, the cyclic pairs for edges) from
+    ``min_cuts``, de-duplicated and sorted, or every (n-1)-subset of the
+    complete bidirected graph, which has no pivot pair. Each set is sized
+    by one Kosaraju pass over the vertex lists masked to its ``away``
+    (every live vertex if None: root candidate, fallback, cuts at k >= 2),
+    the root's SCC being the rest; an edge set's arcs are left out of
+    copies of the lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
         raise EnumerationGuardError(
             f"{name}={k}: subset enumeration needs allow_large=True"
         )
-    if kind == "edge" and k >= 2:
-        net = EdgeFlowNetwork(g)
-        sets = [(cut, None) for cut in sorted({
-            cut for v in range(g.n) for cut in net.min_cuts(v, (v + 1) % g.n, k)})]
+    if k == 1:
+        items, offset, succ, pred = _adjacency(g, kind)
+        sets = (((items[c - offset],), away) for c, away in _candidates(succ, pred, offset))
+    elif kind == "vertex" and k == g.n - 1:
+        sets = ((w, None) for w in itertools.combinations(range(g.n), k))
     else:
-        sets = _prefix_sets(g, kind, k)
+        net, pairs = ((VertexFlowNetwork(g), _pivot_pairs(g)) if kind == "vertex"
+                      else (EdgeFlowNetwork(g), _cyclic_pairs(g)))
+        sets = [(cut, None) for cut in sorted({
+            cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
     out = WitnessList()
     _, _, vsucc, vpred = _adjacency(g, "vertex")
     for members, away in sets:
@@ -297,10 +285,13 @@ def weakening_vertex_sets(
     """All vertex subsets of size sigma0 whose removal breaks strong
     connectivity (or leaves one vertex), in lexicographic order.
 
-    Enumeration costs C(n, sigma0 - 1) strong articulation point passes
-    (dominator trees of g - P and its reverse, O(m) each), one per
-    (sigma0 - 1)-subset P, each set sized over the vertices its last
-    member cuts off; sigma0 >= 3 needs allow_large=True.
+    At sigma0 = 1 enumeration costs one strong articulation point pass
+    (dominator trees of g and its reverse, O(m)), each set sized over the
+    vertices it cuts off. At k = sigma0 >= 2 it costs one split-network
+    flow capped at k + 1 per pivot pair (at most 2n - 3 + (d+ - 1)(d- - 1)
+    pairs, for the pivot's degrees), plus O(m) per minimum cut of a pair,
+    from its residual network, and a full O(m) SCC pass per cut; ``limit``
+    caps the sizing, not that listing. sigma0 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "vertex", svc(g), limit, allow_large)
@@ -343,8 +334,7 @@ def undirected_edge_connectivity(d: UndirectedGraph) -> int:
     edges crossing a bipartition (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    pairs = ((v, (v + 1) % d.n) for v in range(d.n))
-    return _scan(d, "edge", pairs, min(_degrees(d)))
+    return _scan(d, "edge", _cyclic_pairs(d), min(_degrees(d)))
 
 
 def report(

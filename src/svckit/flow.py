@@ -10,6 +10,12 @@ one-shot wrappers over these networks. A network takes any graph with
 ``n``, sorted ``successors`` lists and ``has_edge``: a ``DirectedGraph``,
 or an ``UndirectedGraph`` read as its doubled digraph.
 
+Both networks share one ``flow`` and one minimum-cut lister,
+``min_cuts``, which lists each minimum cut of a pair once from its final
+residual network. Only two things differ: which item a forward arc cuts
+(a vertex of the split network, or an edge in sorted order) and how
+``_start`` maps a pair to its source and sink nodes.
+
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc) so the flow value counts internally
 disjoint paths, which is what Menger-style vertex cuts require. A vertex
@@ -46,7 +52,9 @@ class FlowAnswer:
 
 class _Network:
     """Fixed arc structure plus template capacities. Arc ``2i`` is a
-    forward arc and ``2i + 1`` its residual reverse (template capacity 0)."""
+    forward arc and ``2i + 1`` its residual reverse (template capacity 0);
+    forward arc ``2i`` cuts ``items[i]`` when it has one. A subclass maps a
+    vertex pair to its source and sink nodes in ``_start``."""
 
     def __init__(self, size: int):
         self.size = size
@@ -104,6 +112,77 @@ class _Network:
                 v = to[eid ^ 1]
             flow += 1
 
+    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
+        """Checks the pair; (source, sink, units of flow written into ``cap``)."""
+        raise NotImplementedError
+
+    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
+        """Maximum number of disjoint s->t paths, with the items cut by the
+        forward arcs that leave what s reaches in the final residual
+        network: all saturated, by max-flow/min-cut."""
+        caps = self.template[:]
+        src, snk, packed = self._start(caps, s, t, cap)
+        value, parent = self._max_flow(caps, src, snk, cap, packed)
+        if parent is None:
+            return FlowAnswer(value=value, cut=(), saturated=True)
+        to = self.to
+        cut = tuple(item for i, item in enumerate(self.items)
+                    if parent[to[2 * i + 1]] != -1 and parent[to[2 * i]] == -1)
+        return FlowAnswer(value=value, cut=cut, saturated=False)
+
+    def min_cuts(self, s: int, t: int, k: int) -> Iterator[Tuple]:
+        """Every minimum s->t cut as the items of delta+(T), in arc order,
+        when the s->t flow is at most k; nothing when it exceeds k.
+
+        The minimum cuts are delta+(T) for the sets T that hold the source,
+        miss the sink and have no arc leaving them in the final residual
+        network (Picard & Queyranne 1980). Many T can give one cut, so each
+        cut comes from its least T only: what the source reaches over the
+        forward arcs minus the cut, all inside T. Branching on the smallest
+        undecided node with a forward arc from T, into T with its residual
+        descendants or out with its residual ancestors, ends at exactly
+        those T: a residual reverse arc u -> w undoes flow on w -> u, which
+        lies on a flow path from the source or a flow cycle through u, both
+        inside T. So every leaf is a distinct cut, after O(m) work per node
+        (Provan & Shier 1996). T starts as what the flow's last search
+        reached. The stack is explicit, since its depth reaches the node
+        count."""
+        cap = self.template[:]
+        src, snk, packed = self._start(cap, s, t, k + 1)
+        parent = self._max_flow(cap, src, snk, k + 1, packed)[1]
+        if parent is None:
+            return
+        head, to, items = self.head, self.to, self.items
+
+        def settle(side: List[int], v: int, mark: int) -> List[int]:
+            # v with its descendants into T (mark 1), or with its ancestors
+            # out (mark -1). Arc eid leaves to[eid ^ 1], so in head[u] the
+            # residual arc u -> to[eid] is eid and to[eid] -> u is eid ^ 1
+            flip = 0 if mark > 0 else 1
+            side = side[:]
+            side[v] = mark
+            todo = [v]
+            for u in todo:
+                for eid in head[u]:
+                    if not side[to[eid]] and cap[eid ^ flip]:
+                        w = to[eid]
+                        side[w] = mark
+                        todo.append(w)
+            return side
+
+        stack = [settle([int(p != -1) for p in parent], snk, -1)]
+        while stack:
+            side = stack.pop()
+            # forward arcs leaving T, in arc order: the cut, or a frontier
+            arcs = [eid for u, d in enumerate(side) if d > 0
+                    for eid in head[u] if not eid & 1 and side[to[eid]] <= 0]
+            v = min((to[eid] for eid in arcs if not side[to[eid]]), default=None)
+            if v is None:
+                yield tuple(items[eid >> 1] for eid in arcs)
+            else:
+                stack.append(settle(side, v, -1))
+                stack.append(settle(side, v, 1))
+
 
 class VertexFlowNetwork(_Network):
     """Split network of ``g``: vertex w becomes 2w (in) and 2w+1 (out),
@@ -114,7 +193,7 @@ class VertexFlowNetwork(_Network):
 
     def __init__(self, g: Graph):
         super().__init__(2 * g.n)
-        self.g = g
+        self.g, self.items = g, range(g.n)
         n = g.n
         for w in range(n):
             self._add_arc(2 * w, 2 * w + 1, 1)
@@ -122,29 +201,17 @@ class VertexFlowNetwork(_Network):
             for v in g.successors(u):
                 self._add_arc(2 * u + 1, 2 * v, n)
 
-    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
-        """Maximum number of internally-vertex-disjoint s->t paths.
-
-        Requires that the edge (s, t) is absent; with a direct edge no
-        separating vertex cut exists and the quantity is undefined.
-        """
-        g = self.g
-        _check_pair(g, s, t)
-        if g.has_edge(s, t):
+    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
+        """From s_out to t_in, after ``_pack``. Requires that the edge
+        (s, t) is absent; with a direct edge no separating vertex cut exists
+        and the quantity is undefined. No path enters s_in or leaves t_in,
+        so the internal arcs of s and t never carry flow or join a cut."""
+        _check_pair(self.g, s, t)
+        if self.g.has_edge(s, t):
             raise GraphInputError(
                 f"edge ({s}, {t}) present: no separating vertex cut exists"
             )
-        # from s_out to t_in: no path enters s_in or leaves t_in, so the
-        # internal arcs of s and t never carry flow or join the cut
-        caps = self.template[:]
-        packed = self._pack(caps, s, t, cap)
-        value, parent = self._max_flow(caps, 2 * s + 1, 2 * t, cap, packed)
-        if parent is None:
-            return FlowAnswer(value=value, cut=(), saturated=True)
-        cut = tuple(
-            w for w in range(g.n) if parent[2 * w] != -1 and parent[2 * w + 1] == -1
-        )
-        return FlowAnswer(value=value, cut=cut, saturated=False)
+        return 2 * s + 1, 2 * t, self._pack(cap, s, t, limit)
 
     def _pack(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> int:
         """Write vertex-disjoint paths s -> x -> t, then s -> a -> b -> t,
@@ -175,73 +242,13 @@ class EdgeFlowNetwork(_Network):
     def __init__(self, g: Graph):
         super().__init__(g.n)
         self.g = g
-        for u in range(g.n):
-            for v in g.successors(u):
-                self._add_arc(u, v, 1)
+        self.items = [(u, v) for u in range(g.n) for v in g.successors(u)]
+        for u, v in self.items:
+            self._add_arc(u, v, 1)
 
-    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
-        """Maximum number of pairwise edge-disjoint s->t paths.
-
-        The cut is the set of original edges crossing the residual-reachable
-        frontier from s (all saturated, by max-flow/min-cut).
-        """
+    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
         _check_pair(self.g, s, t)
-        value, parent = self._max_flow(self.template[:], s, t, cap)
-        if parent is None:
-            return FlowAnswer(value=value, cut=(), saturated=True)
-        cut = tuple((u, v) for u in range(self.g.n) if parent[u] != -1
-                    for v in self.g.successors(u) if parent[v] == -1)
-        return FlowAnswer(value=value, cut=cut, saturated=False)
-
-    def min_cuts(self, s: int, t: int, k: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-        """Every minimum s->t edge cut as delta+(T), in sorted edge order,
-        when the s->t flow is at most k; nothing when it exceeds k.
-
-        The minimum cuts are delta+(T) for the sets T that hold s, miss t
-        and have no arc leaving them in the final residual network (Picard
-        & Queyranne 1980). Many T can give one cut, so each cut comes from
-        its least T only: what s reaches in g minus the cut, all inside T.
-        Branching on the smallest undecided vertex with an arc of g from T,
-        into T with its residual descendants or out with its residual
-        ancestors, ends at exactly those T: a residual arc u -> w not in g
-        reverses a flow arc w -> u on a flow path from s or a flow cycle
-        through u, both inside T. So every leaf is a distinct cut, after
-        O(m) work per node (Provan & Shier 1996). The stack is explicit,
-        since its depth reaches n."""
-        _check_pair(self.g, s, t)
-        cap = self.template[:]
-        if self._max_flow(cap, s, t, k + 1)[1] is None:
-            return
-        head, to, n, succ = self.head, self.to, self.size, self.g.successors
-
-        def settle(side: List[int], v: int, mark: int) -> List[int]:
-            # v with its descendants into T (mark 1), or with its ancestors
-            # out (mark -1). Arc eid leaves to[eid ^ 1], so in head[u] the
-            # residual arc u -> to[eid] is eid and to[eid] -> u is eid ^ 1
-            flip = 0 if mark > 0 else 1
-            side = side[:]
-            side[v] = mark
-            todo = [v]
-            for u in todo:
-                for eid in head[u]:
-                    w = to[eid]
-                    if cap[eid ^ flip] and not side[w]:
-                        side[w] = mark
-                        todo.append(w)
-            return side
-
-        stack = [settle(settle([0] * n, s, 1), t, -1)]
-        while stack:
-            side = stack.pop()
-            # arcs leaving T, in sorted edge order: the cut, or a frontier
-            arcs = [(u, w) for u in range(n) if side[u] > 0
-                    for w in succ(u) if side[w] <= 0]
-            v = min((w for _, w in arcs if not side[w]), default=None)
-            if v is None:
-                yield tuple(arcs)
-            else:
-                stack.append(settle(side, v, -1))
-                stack.append(settle(side, v, 1))
+        return s, t, 0
 
 
 def edge_max_flow(

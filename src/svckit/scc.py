@@ -1,5 +1,5 @@
 """Strongly connected components (Kosaraju-Sharir), the condensation DAG,
-and a masked subgraph's strong articulation points and what each cuts off.
+and a graph's strong articulation points and what each cuts off.
 
 Both passes are one iterative postorder DFS, the same loop the dominator
 pass of ``_candidates`` runs. Traversal order is pinned to ascending
@@ -73,23 +73,19 @@ def _components(
 
 
 def _dominators(
-    root: int,
-    succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
-    dead: bytearray,
-    size: int,
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
 ) -> Optional[List[int]]:
-    """Immediate dominators from ``root`` (iterative Cooper-Harvey-Kennedy
-    on a reverse postorder): the root's is itself, a dead node's -1. None
-    if some of the ``size`` live nodes is unreachable."""
-    order = _postorder(root, succ, bytearray(dead))
-    if len(order) < size:
+    """Immediate dominators from node 0 (iterative Cooper-Harvey-Kennedy
+    on a reverse postorder), node 0's being itself. None if some node is
+    unreachable."""
+    order = _postorder(0, succ, bytearray(len(succ)))
+    if len(order) < len(succ):
         return None
     po = [0] * len(succ)
     for i, v in enumerate(order):
         po[v] = i
-    idom = [-1] * len(succ)  # -1: dead or not yet processed
-    idom[root] = root
+    idom = [-1] * len(succ)  # -1: not yet processed
+    idom[0] = 0
     rpo = order[-2::-1]
     changed = True
     while changed:
@@ -115,32 +111,28 @@ def _dominators(
 
 
 def _candidates(
-    succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
-    dead: bytearray,
-    lo: int,
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], lo: int
 ) -> Iterator[Tuple[int, Optional[set]]]:
-    """(c, away) for ascending nodes c >= ``lo`` (all of which must be
-    live) that include every node whose removal leaves the live subgraph H
-    not strongly connected or with one vertex node: H's smallest node, the
-    root, when it is ``lo``, then the non-trivial dominators >= ``lo`` of H
-    and of its reverse from the root (Italiano, Laura & Santaroni 2012); or
-    every node >= ``lo`` when H has fewer than 3 nodes or is not strongly
-    connected. A dominator's ``away`` is its proper descendants in both
-    trees, the nodes H - c cuts off from the root; the others' is None."""
-    root, size = dead.index(0), dead.count(0)
-    fwd = _dominators(root, succ, pred, dead, size) if size >= 3 else None
-    rev = None if fwd is None else _dominators(root, pred, succ, dead, size)
+    """(c, away) for ascending nodes c >= ``lo`` that include every node
+    whose removal leaves the graph H not strongly connected or with one
+    vertex node: node 0, the root, when ``lo`` is 0, then the non-trivial
+    dominators >= ``lo`` of H and of its reverse from the root (Italiano,
+    Laura & Santaroni 2012); or every node >= ``lo`` when H has fewer than
+    3 nodes or is not strongly connected. A dominator's ``away`` is its
+    proper descendants in both trees, the nodes H - c cuts off from the
+    root; the others' is None."""
+    fwd = _dominators(succ, pred) if len(succ) >= 3 else None
+    rev = None if fwd is None else _dominators(pred, succ)
     if rev is None:
         yield from ((c, None) for c in range(lo, len(succ)))
         return
-    if root == lo:  # root <= lo
-        yield root, None
-    cuts = sorted(c for c in set(fwd) | set(rev) if c >= lo and c != root)  # -1 < lo
+    if lo == 0:
+        yield 0, None
+    cuts = sorted(c for c in set(fwd) | set(rev) if c >= lo and c)
     trees = [{}, {}] if cuts else []  # child lists, kept only below the root's children
     for idom, kids in zip((fwd, rev), trees):
         for v, d in enumerate(idom):
-            if d >= 0 and d != root:
+            if d > 0:
                 kids.setdefault(d, []).append(v)
     for c in cuts:
         away = set()

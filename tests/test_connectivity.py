@@ -12,6 +12,7 @@ from svckit.connectivity import (
     _adjacency,
     _candidates,
     _degrees,
+    _pivot_pairs,
     _vertex_upper_bound,
     _weakening_sets,
 )
@@ -170,12 +171,13 @@ class TestWeakeningSets:
         assert len(sets) == 5  # every 4-subset leaves one vertex
 
     def test_candidates_include_every_completion(self):
-        # dead masks drawn as the enumerator draws them: dead nodes only
-        # below lo, and only midpoints on the edge-split graph. c >= lo
-        # completes the prefix unless exactly one SCC of the rest holds
-        # vertex nodes and it holds more than one. A non-None away is
-        # what c cuts off: the live nodes other than c outside the root's
-        # SCC of the rest
+        # lo as the enumerator sets it (0, or n on the edge-split graph)
+        # and at random. Every c >= lo whose removal weakens the graph is
+        # listed: it weakens unless exactly one SCC of the rest holds
+        # vertex nodes and that SCC holds more than one. A non-None away is
+        # what c cuts off: the nodes other than c outside the root's SCC of
+        # the rest. Graphs with n = 2 and graphs that are not strongly
+        # connected take the fallback
         rng = random.Random(13)
         tiny = broken = cut_off = 0
         for g, seed in seeded_random_graphs(120, n_hi=12):
@@ -184,31 +186,26 @@ class TestWeakeningSets:
                 size = len(succ)
                 if offset >= size:
                     continue
-                draws = [(rng.randrange(offset, size), rng.random()) for _ in range(4)]
-                draws += [(size - 1, 1.0), (max(offset, size - 2), 1.0)]
-                for lo, p in draws:
-                    dead = bytearray(size)
-                    for v in range(offset, lo):
-                        dead[v] = rng.random() < p
-                    live = dead.count(0)
-                    tiny += live <= 2
-                    broken += live >= 3 and len(reference_components(succ, dead)) > 1
-                    pairs = list(_candidates(succ, pred, dead, lo))
+                dead = bytearray(size)
+                tiny += size <= 2
+                broken += size >= 3 and len(reference_components(succ, dead)) > 1
+                draws = [rng.randrange(offset, size) for _ in range(2)] + [offset, size - 1]
+                for lo in draws:
+                    pairs = list(_candidates(succ, pred, lo))
                     got, away_of = [c for c, _ in pairs], dict(pairs)
                     assert got == sorted(set(got)) and all(c >= lo for c in got)
-                    root = dead.index(0)
                     for c in range(lo, size):
                         dead[c] = 1
                         comps = reference_components(succ, dead)
                         held = [x for x in (sum(v < g.n for v in comp) for comp in comps) if x]
                         if away_of.get(c) is not None:
-                            kept = next(comp for comp in comps if root in comp)
+                            kept = next(comp for comp in comps if 0 in comp)
                             cut_off += 1
-                            want = {v for v in range(size) if not dead[v] and v not in kept}
+                            want = {v for v in range(size) if v != c and v not in kept}
                             assert away_of[c] == want, (seed, kind, c)
                         dead[c] = 0
                         if not (len(held) == 1 and held[0] > 1):
-                            assert c in got, (seed, kind, lo, list(dead), c)
+                            assert c in got, (seed, kind, lo, c)
         assert tiny and broken and cut_off
 
     def test_sizes_match_reference_components_past_oracle(self):
@@ -244,7 +241,7 @@ class TestWeakeningSets:
                                   (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
                                   (1, 8), (8, 0), (0, 9), (9, 1)])
         _, _, succ, pred = _adjacency(g, "vertex")
-        assert dict(_candidates(succ, pred, bytearray(g.n), 0))[1] == {2, 3, 4, 5, 8, 9}
+        assert dict(_candidates(succ, pred, 0))[1] == {2, 3, 4, 5, 8, 9}
         vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
         sizes = {w.members: w.resulting_scc_sizes for w in vertex + edge}
         assert sizes[(1,)] == (3, 2, 2, 1, 1) and sizes[((2, 3),)] == (8, 1, 1)
@@ -292,9 +289,9 @@ class TestWeakeningSets:
         flows, passes = [], []
         max_flow = EdgeFlowNetwork._max_flow
 
-        def counted_flow(net, cap, s, t, limit):
+        def counted_flow(net, cap, s, t, limit, flow=0):
             flows.append((s, t, limit))
-            return max_flow(net, cap, s, t, limit)
+            return max_flow(net, cap, s, t, limit, flow)
 
         def counted_candidates(*args):
             passes.append(args)
@@ -305,6 +302,32 @@ class TestWeakeningSets:
         sets = _weakening_sets(g, "edge", k, None, True)
         assert (k, g.n, g.m, len(sets)) == (3, 14, 70, 10)
         assert flows == [(v, (v + 1) % g.n, k + 1) for v in range(g.n)]
+        assert passes == []
+
+    def test_pivot_pair_flows_bound_the_work(self, monkeypatch):
+        # gamma(3, 4): sigma0 = 3 on n = 14. Its one vertex set comes from
+        # one split-network flow capped at k + 1 per pivot pair (28 of
+        # them) and no dominator pass, where one pass per 2-prefix took 78
+        g = sk.gamma(sk.FamilyParams(3, 4))
+        k = sk.svc(g)
+        module = importlib.import_module("svckit.connectivity")
+        flows, passes = [], []
+        max_flow = VertexFlowNetwork._max_flow
+
+        def counted_flow(net, cap, s, t, limit, flow=0):
+            flows.append((s, t, limit))
+            return max_flow(net, cap, s, t, limit, flow)
+
+        def counted_candidates(*args):
+            passes.append(args)
+            return _candidates(*args)
+
+        monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+        monkeypatch.setattr(module, "_candidates", counted_candidates)
+        sets = _weakening_sets(g, "vertex", k, None, True)
+        pairs = list(_pivot_pairs(g))
+        assert (k, g.n, len(pairs), len(sets)) == (3, 14, 28, 1)
+        assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         assert passes == []
 
     def test_edge_sets_match_reference_up_to_k4(self):
@@ -320,6 +343,18 @@ class TestWeakeningSets:
             head = sum(w.members[0][0] == 0 for w in sk.weakening_edge_sets(g, allow_large=True))
             assert (sk.sec(g), g.m, head) == (4, 52, 5)
             self._assert_matches_reference(g, "edge", 4, (1, head))
+
+    def test_vertex_sets_match_reference_at_k4_k5(self):
+        # n 13-20, past the oracle: halves joined through a k-vertex
+        # middle, whose sets mix the middle with vertex neighbourhoods, and
+        # unions of k arc-disjoint Hamiltonian cycles, whose every vertex
+        # has in- and out-degree k
+        cases = [(_separated(n, k, seed), k) for k, n, seed in
+                 ((4, 13, 3), (4, 20, 0), (5, 15, 4), (5, 17, 0))]
+        cases += [(_disjoint_cycles(13, 4, 0), 4), (_disjoint_cycles(14, 5, 0), 5)]
+        for g, k in cases:
+            assert sk.svc(g) == k and len(sk.weakening_vertex_sets(g, allow_large=True)) >= 2
+            self._assert_matches_reference(g, "vertex", k, (None, 1))
 
     def test_edge_sizes_match_rebuild_past_oracle(self):
         # n 13-40: each edge set's sizes are those of g - W rebuilt, and the
@@ -565,6 +600,16 @@ def _disjoint_cycles(n, count, seed):
         if not cycle & arcs:
             arcs |= cycle
             count -= 1
+    return sk.DirectedGraph(n, arcs)
+
+
+def _separated(n, k, seed):
+    # halves joined only through the k middle vertices a..a+k-1: each arc
+    # inside A + S or inside S + B with probability 0.8
+    rng = random.Random(seed)
+    a = (n - k) // 2
+    arcs = {(u, v) for side in (range(a + k), range(a, n)) for u in side for v in side
+            if u != v and rng.random() < 0.8}
     return sk.DirectedGraph(n, arcs)
 
 

@@ -244,31 +244,40 @@ class TestMonotonicityAndCap:
 
 class TestMinCuts:
     def test_every_minimum_cut_brute(self):
-        # every ordered pair of seeded graphs with n <= 8: at any cap from
-        # the flow value k up, the cuts are exactly the k-edge subsets whose
-        # removal cuts t off from s, each once and in sorted edge order;
-        # below k there are none. Pairs with too many k-subsets are skipped
-        pairs = several = 0
-        for g, seed in seeded_random_graphs(60, n_lo=3, n_hi=8):
-            edges = g.sorted_edges()
-            net = EdgeFlowNetwork(g)
-            for s, t in itertools.permutations(range(g.n), 2):
-                k = net.flow(s, t).value
-                if math.comb(g.m, k) > 2000:
-                    continue
-                want = {
-                    cut for cut in itertools.combinations(edges, k)
-                    if not reaches(g.n, set(edges) - set(cut), s, t)
-                }
-                for cap in (k, k + 2):
-                    got = list(net.min_cuts(s, t, cap))
-                    assert sorted(got) == sorted(want), (seed, s, t, cap)
-                    assert all(list(cut) == sorted(cut) for cut in got)
-                if k:
-                    assert list(net.min_cuts(s, t, k - 1)) == [], (seed, s, t)
-                pairs += 1
-                several += len(want) > 1
-        assert pairs >= 1000 and several >= 200
+        # every ordered pair of seeded graphs with n <= 8, arcs left out on
+        # the split network: at any cap from the flow value k up, the cuts
+        # are exactly the k-subsets of the items (sorted edges, or the
+        # vertices other than s and t) whose removal cuts t off from s,
+        # each once and ascending; below k there are none. Pairs with too
+        # many k-subsets are skipped
+        graphs = seeded_random_graphs(60, n_lo=3, n_hi=8)
+        for network, floor in ((EdgeFlowNetwork, (1000, 200)), (VertexFlowNetwork, (900, 150))):
+            pairs = several = 0
+            for g, seed in graphs:
+                net, edges = network(g), g.sorted_edges()
+                for s, t in itertools.permutations(range(g.n), 2):
+                    if network is VertexFlowNetwork:
+                        if g.has_edge(s, t):
+                            continue
+                        items = [w for w in range(g.n) if w not in (s, t)]
+                    else:
+                        items = edges
+                    k = net.flow(s, t).value
+                    if math.comb(len(items), k) > 2000:
+                        continue
+                    want = {
+                        cut for cut in itertools.combinations(items, k)
+                        if not reaches(g.n, _without(edges, cut), s, t)
+                    }
+                    for cap in (k, k + 2):
+                        got = list(net.min_cuts(s, t, cap))
+                        assert sorted(got) == sorted(want), (network, seed, s, t, cap)
+                        assert all(list(cut) == sorted(cut) for cut in got)
+                    if k:
+                        assert list(net.min_cuts(s, t, k - 1)) == [], (network, seed, s, t)
+                    pairs += 1
+                    several += len(want) > 1
+            assert pairs >= floor[0] and several >= floor[1], network
 
     def test_directed_cycle(self):
         # one minimum cut per arc on the s -> t path, each once, though the
@@ -291,6 +300,28 @@ class TestMinCuts:
         assert cuts[-1] == [((z + 1, 0), (z + 2, 1))]
         assert all(len(c) == len(set(c)) for c in cuts)
         assert sum(map(len, cuts)) == 64
+
+    def test_one_leaf_per_cut_on_parallel_blobs_split(self):
+        # the same graph on the split network: from Z to A, every subset of
+        # the M_i joins the vertex cut's closed set T as well, and each cut
+        # of each pair comes once. From z, the paths run through z + 1 or
+        # through z + 2 and then 1
+        r = 12
+        g = _parallel_blobs(r)
+        z, net = 3 * (r + 1), VertexFlowNetwork(g)
+        cuts = {(s, t): list(net.min_cuts(s, t, 2)) for s in range(z, z + 3)
+                for t in range(3) if not g.has_edge(s, t)}
+        assert (sk.svc(g), len(cuts)) == (2, 7)
+        assert sorted(cuts[z, 0]) == [(1, z + 1), (z + 1, z + 2)]
+        assert all(len(c) == len(set(c)) for c in cuts.values())
+        assert sum(map(len, cuts.values())) == 14
+
+
+def _without(edges, cut):
+    # the edges left once the cut's items are gone: edges, or vertices
+    # with the edges at them
+    gone = set(cut)
+    return [(u, v) for u, v in edges if not {(u, v), u, v} & gone]
 
 
 def _parallel_blobs(r):
