@@ -15,24 +15,23 @@ is crossed by some consecutive pair leaving S).
 
 Minimum vertex and edge sets at k = 1 come from one dominator pass: the
 strong articulation points of G are the non-trivial dominators of G and
-of its reverse from one root (Italiano, Laura & Santaroni 2012), and the
-strong bridges are the midpoint articulation points of the edge-split
-graph. A dominator c is sized from its trees: G - c is the root's SCC
-plus the SCCs among c's proper descendants in the two (Georgiadis,
-Italiano & Parotsidis 2017). Sets at k = sigma >= 2 are the minimum cuts
-of the pairs that reach sigma, the pivot pairs for vertices and the
-cyclic pairs for edges, listed from each pair's residual network by the
-lister both flow networks share (Picard & Queyranne 1980): one flow
-capped at k + 1 per pair plus O(m) per cut. A full Kosaraju pass over
-the vertex lists sizes the root candidate, the fallback and each cut,
-and no graph is rebuilt.
+of its reverse from one root, and the strong bridges, O(m) over n nodes,
+are the bridges of those flow graphs (Italiano, Laura & Santaroni 2012).
+A set is sized from the subtrees it cuts off: G - c is the root's SCC
+plus the SCCs among them (Georgiadis, Italiano & Parotsidis 2017). Sets
+at k = sigma >= 2 are the minimum cuts of the pairs that reach sigma, the
+pivot pairs for vertices and the cyclic pairs for edges, listed from each
+pair's residual network by the lister both flow networks share (Picard &
+Queyranne 1980): one flow capped at k + 1 per pair plus O(m) per cut. A
+full Kosaraju pass over the vertex lists sizes the root candidate, the
+fallback and each cut, and no graph is rebuilt.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .graphs import (
     DirectedGraph,
@@ -46,7 +45,7 @@ from .graphs import (
     underlying,
 )
 from .flow import EdgeFlowNetwork, VertexFlowNetwork
-from .scc import _candidates, _components, is_strongly_connected, scc
+from .scc import _bridges, _candidates, _components, is_strongly_connected, scc
 
 
 @dataclass(frozen=True)
@@ -199,24 +198,6 @@ def _check_limit(limit: Optional[int]) -> None:
         raise GraphInputError(f"limit must be >= 1, got {limit}")
 
 
-def _adjacency(
-    g: Graph, kind: str
-) -> Tuple[Sequence, int, List[List[int]], List[List[int]]]:
-    """(items, offset, succ, pred): item i is node offset + i. Sorted edge
-    i = (u, v) is the midpoint n + i of the split graph u -> n + i -> v."""
-    if kind == "vertex":
-        succ = [g.successors(v) for v in range(g.n)]
-        pred = [g.predecessors(v) for v in range(g.n)]
-        return range(g.n), 0, succ, pred
-    items = [(u, v) for u in range(g.n) for v in g.successors(u)]
-    succ = [[] for _ in range(g.n)] + [[v] for _, v in items]
-    pred = [[] for _ in range(g.n)] + [[u] for u, _ in items]
-    for i, (u, v) in enumerate(items):
-        succ[u].append(g.n + i)
-        pred[v].append(g.n + i)
-    return items, g.n, succ, pred
-
-
 def _weakening_sets(
     g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
 ) -> WitnessList:
@@ -225,25 +206,26 @@ def _weakening_sets(
     connected, in lexicographic order. k >= 3 raises EnumerationGuardError
     unless ``allow_large``.
 
-    At k = 1 the sets are the ``_candidates`` of one dominator pass over
-    g, or over its edge split graph, whose midpoints n + i are the sorted
-    edges. At k >= 2 they are the minimum cuts of the pairs that reach
-    sigma (``_pivot_pairs`` for vertices, the cyclic pairs for edges) from
-    ``min_cuts``, de-duplicated and sorted, or every (n-1)-subset of the
-    complete bidirected graph, which has no pivot pair. Each set is sized
-    by one Kosaraju pass over the vertex lists masked to its ``away``
-    (every live vertex if None: root candidate, fallback, cuts at k >= 2),
-    the root's SCC being the rest; an edge set's arcs are left out of
-    copies of the lists they touch.
+    At k = 1 the sets are the ``_candidates`` (vertices) or ``_bridges``
+    (edges) of one dominator pass over g. At k >= 2 they are the minimum
+    cuts of the pairs that reach sigma (``_pivot_pairs`` for vertices, the
+    cyclic pairs for edges) from ``min_cuts``, de-duplicated and sorted, or
+    every (n-1)-subset of the complete bidirected graph, which has no pivot
+    pair. Each set is sized by one Kosaraju pass over the vertex lists
+    masked to its ``away`` (every live vertex if None: root candidate,
+    fallback, cuts at k >= 2), the root's SCC being the rest; an edge
+    set's arcs are left out of copies of the lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
         raise EnumerationGuardError(
             f"{name}={k}: subset enumeration needs allow_large=True"
         )
+    succ = [g.successors(v) for v in range(g.n)]
+    pred = [g.predecessors(v) for v in range(g.n)]
     if k == 1:
-        items, offset, succ, pred = _adjacency(g, kind)
-        sets = (((items[c - offset],), away) for c, away in _candidates(succ, pred, offset))
+        sets = (((c,), away) for c, away in
+                (_candidates if kind == "vertex" else _bridges)(succ, pred))
     elif kind == "vertex" and k == g.n - 1:
         sets = ((w, None) for w in itertools.combinations(range(g.n), k))
     else:
@@ -252,19 +234,16 @@ def _weakening_sets(
         sets = [(cut, None) for cut in sorted({
             cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
     out = WitnessList()
-    _, _, vsucc, vpred = _adjacency(g, "vertex")
     for members, away in sets:
-        s, p = vsucc, vpred
+        s, p = succ, pred
         if kind == "edge":
-            s, p = vsucc[:], vpred[:]
+            s, p = succ[:], pred[:]
             for u, v in members:
                 s[u] = [w for w in s[u] if w != v]
                 p[v] = [w for w in p[v] if w != u]
         dead = bytearray(b"\x01") * g.n
-        # edge members are never vertex ids
         for v in set(range(g.n)).difference(members) if away is None else away:
-            if v < g.n:
-                dead[v] = 0
+            dead[v] = 0
         rest = (g.n - k if kind == "vertex" else g.n) - dead.count(0)  # root's SCC
         sizes = [len(c) for c in _components(s, p, dead)] + [rest] * (rest > 0)
         sizes.sort(reverse=True)
@@ -306,12 +285,12 @@ def weakening_edge_sets(
     connectivity, in lexicographic order of sorted members.
 
     At sigma1 = 1 enumeration costs one strong bridge pass (dominator
-    trees of the edge split graph, O(m)) and an SCC pass per bridge over
-    the vertices it cuts off. At k = sigma1 >= 2 it costs n flows capped
-    at k + 1, one per cyclic pair (v, v + 1 mod n), plus O(m) per minimum
-    cut of a pair, from its residual network (Picard & Queyranne 1980),
-    and a full O(m) SCC pass per cut; ``limit`` caps the sizing, not that
-    listing. sigma1 >= 3 needs allow_large=True.
+    trees of g and its reverse, O(m) over n nodes) and an SCC pass per
+    bridge over the vertices it cuts off. At k = sigma1 >= 2 it costs n
+    flows capped at k + 1, one per cyclic pair (v, v + 1 mod n), plus O(m)
+    per minimum cut of a pair, from its residual network (Picard &
+    Queyranne 1980), and a full O(m) SCC pass per cut; ``limit`` caps the
+    sizing, not that listing. sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "edge", sec(g), limit, allow_large)

@@ -1,13 +1,13 @@
 """Strongly connected components (Kosaraju-Sharir), the condensation DAG,
-and a graph's strong articulation points and what each cuts off.
+and a graph's strong articulation points and bridges, with what each cuts off.
 
 Both passes are one iterative postorder DFS, the same loop the dominator
-pass of ``_candidates`` runs. Traversal order is pinned to ascending
-vertex ids and list order of successors, so output is deterministic for a
-given graph. Components come out in reverse topological order of the
-condensation, the order in which Tarjan's algorithm would emit them. The
-pass runs over adjacency lists with a dead-node mask, so the SCCs of a
-graph minus some nodes come without rebuilding the graph.
+passes run. Traversal order is pinned to ascending vertex ids and list
+order of successors, so output is deterministic for a given graph.
+Components come out in reverse topological order of the condensation,
+the order in which Tarjan's algorithm would emit them. The pass runs over
+adjacency lists with a dead-node mask, so the SCCs of a graph minus some
+nodes come without rebuilding the graph.
 """
 
 from __future__ import annotations
@@ -110,38 +110,59 @@ def _dominators(
     return idom
 
 
+def _tree(idom: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """(order, pos, lo): a postorder of the dominator tree ``idom`` and
+    each node's index in it; v's subtree is ``order[lo[v]:pos[v] + 1]``."""
+    n = len(idom)
+    kids: List[List[int]] = [[] for _ in idom]
+    for v in range(1, n):
+        kids[idom[v]].append(v)
+    order = _postorder(0, kids, bytearray(n))
+    pos, size = [n - 1] * n, [1] * n  # the root comes last
+    for i, v in enumerate(order[:-1]):
+        pos[v] = i
+        size[idom[v]] += size[v]  # v comes after all of its subtree
+    return order, pos, [p - s + 1 for p, s in zip(pos, size)]
+
+
 def _candidates(
-    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], lo: int
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
 ) -> Iterator[Tuple[int, Optional[set]]]:
-    """(c, away) for ascending nodes c >= ``lo`` that include every node
-    whose removal leaves the graph H not strongly connected or with one
-    vertex node: node 0, the root, when ``lo`` is 0, then the non-trivial
-    dominators >= ``lo`` of H and of its reverse from the root (Italiano,
-    Laura & Santaroni 2012); or every node >= ``lo`` when H has fewer than
-    3 nodes or is not strongly connected. A dominator's ``away`` is its
-    proper descendants in both trees, the nodes H - c cuts off from the
-    root; the others' is None."""
+    """(c, away) for ascending nodes c that include every node whose
+    removal leaves the graph H not strongly connected or with one node:
+    node 0, the root, then the non-trivial dominators of H and of its
+    reverse from the root (Italiano, Laura & Santaroni 2012); or every
+    node when H has fewer than 3 nodes or is not strongly connected. A
+    dominator's ``away`` is its proper descendants in both trees, the
+    nodes H - c cuts off from the root; the others' is None."""
     fwd = _dominators(succ, pred) if len(succ) >= 3 else None
     rev = None if fwd is None else _dominators(pred, succ)
     if rev is None:
-        yield from ((c, None) for c in range(lo, len(succ)))
+        yield from ((c, None) for c in range(len(succ)))
         return
-    if lo == 0:
-        yield 0, None
-    cuts = sorted(c for c in set(fwd) | set(rev) if c >= lo and c)
-    trees = [{}, {}] if cuts else []  # child lists, kept only below the root's children
-    for idom, kids in zip((fwd, rev), trees):
-        for v, d in enumerate(idom):
-            if d > 0:
-                kids.setdefault(d, []).append(v)
-    for c in cuts:
-        away = set()
-        for kids in trees:
-            below = [c]
-            for v in below:  # grows as it goes: c's subtree, breadth first
-                below += kids.get(v, ())
-            away.update(below[1:])
-        yield c, away
+    yield 0, None
+    trees = [_tree(fwd), _tree(rev)]
+    for c in sorted({*fwd, *rev} - {0}):
+        yield c, {v for order, pos, lo in trees for v in order[lo[c]:pos[c]]}
+
+
+def _bridges(
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
+) -> Iterator[Tuple[Tuple[int, int], set]]:
+    """(arc, away) for the strong bridges of the strongly connected H, in
+    sorted order: the bridges of the flow graphs of H and its reverse from
+    node 0 (Italiano, Laura & Santaroni 2012). A root path enters v first
+    from a node v does not dominate, each reachable without v, so if u is
+    the only one, (u, v) cuts off v's subtree; ``away`` joins both trees'."""
+    found = {}
+    for flip, (out, into) in enumerate(((succ, pred), (pred, succ))):
+        order, pos, lo = _tree(_dominators(out, into))
+        for v in range(1, len(out)):
+            outside = [u for u in into[v] if not lo[v] <= pos[u] <= pos[v]]
+            if len(outside) == 1:
+                arc = (v, outside[0]) if flip else (outside[0], v)
+                found.setdefault(arc, set()).update(order[lo[v]:pos[v] + 1])
+    yield from sorted(found.items())
 
 
 def scc(g: DirectedGraph) -> SccPartition:

@@ -9,7 +9,7 @@ import pytest
 import svckit as sk
 from svckit.connectivity import (
     EnumerationGuardError,
-    _adjacency,
+    _bridges,
     _candidates,
     _degrees,
     _pivot_pairs,
@@ -27,6 +27,7 @@ from svckit.oracle import (
 )
 
 from helpers import (
+    reaches,
     reference_components,
     reference_svc,
     reference_weakening_sets,
@@ -171,42 +172,59 @@ class TestWeakeningSets:
         assert len(sets) == 5  # every 4-subset leaves one vertex
 
     def test_candidates_include_every_completion(self):
-        # lo as the enumerator sets it (0, or n on the edge-split graph)
-        # and at random. Every c >= lo whose removal weakens the graph is
-        # listed: it weakens unless exactly one SCC of the rest holds
-        # vertex nodes and that SCC holds more than one. A non-None away is
-        # what c cuts off: the nodes other than c outside the root's SCC of
-        # the rest. Graphs with n = 2 and graphs that are not strongly
-        # connected take the fallback
-        rng = random.Random(13)
+        # every c whose removal weakens the graph is listed: it weakens
+        # unless the rest is one SCC of more than one vertex. A non-None
+        # away is what c cuts off: the vertices other than c outside the
+        # root's SCC of the rest. Graphs with n = 2 and graphs that are
+        # not strongly connected take the fallback
         tiny = broken = cut_off = 0
         for g, seed in seeded_random_graphs(120, n_hi=12):
-            for kind in ("vertex", "edge"):
-                _, offset, succ, pred = _adjacency(g, kind)
-                size = len(succ)
-                if offset >= size:
-                    continue
-                dead = bytearray(size)
-                tiny += size <= 2
-                broken += size >= 3 and len(reference_components(succ, dead)) > 1
-                draws = [rng.randrange(offset, size) for _ in range(2)] + [offset, size - 1]
-                for lo in draws:
-                    pairs = list(_candidates(succ, pred, lo))
-                    got, away_of = [c for c, _ in pairs], dict(pairs)
-                    assert got == sorted(set(got)) and all(c >= lo for c in got)
-                    for c in range(lo, size):
-                        dead[c] = 1
-                        comps = reference_components(succ, dead)
-                        held = [x for x in (sum(v < g.n for v in comp) for comp in comps) if x]
-                        if away_of.get(c) is not None:
-                            kept = next(comp for comp in comps if 0 in comp)
-                            cut_off += 1
-                            want = {v for v in range(size) if v != c and v not in kept}
-                            assert away_of[c] == want, (seed, kind, c)
-                        dead[c] = 0
-                        if not (len(held) == 1 and held[0] > 1):
-                            assert c in got, (seed, kind, lo, c)
+            succ, pred = _vertex_lists(g)
+            dead = bytearray(g.n)
+            tiny += g.n == 2
+            broken += g.n >= 3 and len(reference_components(succ, dead)) > 1
+            pairs = list(_candidates(succ, pred))
+            got, away_of = [c for c, _ in pairs], dict(pairs)
+            assert got == sorted(set(got)), seed
+            for c in range(g.n):
+                dead[c] = 1
+                comps = reference_components(succ, dead)
+                if away_of.get(c) is not None:
+                    kept = next(comp for comp in comps if 0 in comp)
+                    cut_off += 1
+                    want = {v for v in range(g.n) if v != c and v not in kept}
+                    assert away_of[c] == want, (seed, c)
+                dead[c] = 0
+                if not (len(comps) == 1 and len(comps[0]) > 1):
+                    assert c in got, (seed, c)
         assert tiny and broken and cut_off
+
+    def test_bridges_are_the_arcs_whose_removal_weakens(self):
+        # against removing each arc and running scc: every arc that breaks
+        # strong connectivity is listed, in sorted order, with away the
+        # vertices outside the root's SCC of the rest. n = 2 (both arcs),
+        # directed cycles (every arc), small seeded graphs and fly-shaped
+        # ones. Some arcs are bridges in both directions: the rest of the
+        # graph neither reaches one end from the root nor the root from
+        # the other
+        graphs = [g for g, _ in strongly_connected_corpus(150, n_hi=12)]
+        graphs += [sk.directed_cycle(n) for n in (2, 3, 7)] + [_two_way_bridge()]
+        graphs += [_fly_shaped(n, extra, seed)
+                   for n, extra, seed in ((60, 6, 0), (100, 50, 1), (200, 20, 3))]
+        listed = both = 0
+        for g in graphs:
+            got = list(_bridges(*_vertex_lists(g)))
+            want = []
+            for e in g.sorted_edges():
+                comps = sk.scc(h := sk.remove_edges(g, [e])).components
+                if len(comps) > 1:
+                    kept = next(comp for comp in comps if 0 in comp)
+                    want.append((e, set(range(g.n)).difference(kept)))
+                    both += not reaches(g.n, h.edges, 0, e[1]) and not reaches(
+                        g.n, h.edges, e[0], 0)
+            assert got == want, g
+            listed += len(got)
+        assert listed >= 500 and both >= 200
 
     def test_sizes_match_reference_components_past_oracle(self):
         # every k = 1 vertex and edge set of sparse fly-shaped graphs, and
@@ -237,11 +255,10 @@ class TestWeakeningSets:
         # 8 (8 -> 0), and alone leads out of them and out of 9 (0 -> 9), so
         # it dominates 2-5 and 8 forward and 2-5 and 9 in reverse. Arc
         # 2 -> 3 is 2's only way out and 3's only way in
-        g = sk.DirectedGraph(10, [(0, 6), (6, 7), (7, 0), (0, 1), (1, 0), (1, 2), (2, 3),
-                                  (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
-                                  (1, 8), (8, 0), (0, 9), (9, 1)])
-        _, _, succ, pred = _adjacency(g, "vertex")
-        assert dict(_candidates(succ, pred, 0))[1] == {2, 3, 4, 5, 8, 9}
+        g = _two_way_bridge()
+        succ, pred = _vertex_lists(g)
+        assert dict(_candidates(succ, pred))[1] == {2, 3, 4, 5, 8, 9}
+        assert dict(_bridges(succ, pred))[(2, 3)] == {2, 3}
         vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
         sizes = {w.members: w.resulting_scc_sizes for w in vertex + edge}
         assert sizes[(1,)] == (3, 2, 2, 1, 1) and sizes[((2, 3),)] == (8, 1, 1)
@@ -293,12 +310,12 @@ class TestWeakeningSets:
             flows.append((s, t, limit))
             return max_flow(net, cap, s, t, limit, flow)
 
-        def counted_candidates(*args):
+        def counted_bridges(*args):
             passes.append(args)
-            return _candidates(*args)
+            return _bridges(*args)
 
         monkeypatch.setattr(EdgeFlowNetwork, "_max_flow", counted_flow)
-        monkeypatch.setattr(module, "_candidates", counted_candidates)
+        monkeypatch.setattr(module, "_bridges", counted_bridges)
         sets = _weakening_sets(g, "edge", k, None, True)
         assert (k, g.n, g.m, len(sets)) == (3, 14, 70, 10)
         assert flows == [(v, (v + 1) % g.n, k + 1) for v in range(g.n)]
@@ -556,6 +573,18 @@ def _fly_shaped(n, extra, seed):
     while len(arcs) < n + extra:
         arcs.add(tuple(rng.sample(range(n), 2)))
     return sk.DirectedGraph(n, arcs)
+
+
+def _two_way_bridge():
+    # the graph of test_dominator_of_both_trees_cuts_off_several_sccs
+    return sk.DirectedGraph(10, [(0, 6), (6, 7), (7, 0), (0, 1), (1, 0), (1, 2), (2, 3),
+                                 (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
+                                 (1, 8), (8, 0), (0, 9), (9, 1)])
+
+
+def _vertex_lists(g):
+    return ([g.successors(v) for v in range(g.n)],
+            [g.predecessors(v) for v in range(g.n)])
 
 
 def _reference_sizes(g, kind, members):

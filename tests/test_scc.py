@@ -3,7 +3,6 @@ import random
 import pytest
 
 import svckit as sk
-from svckit.connectivity import _adjacency
 from svckit.oracle import oracle_scc_ids
 from svckit.scc import _components
 
@@ -126,38 +125,21 @@ def test_masked_pass_matches_rebuilt_graph():
             assert got == want, (seed, removed)
 
 
-def test_edge_split_pass_matches_removed_edges():
-    # on the edge-split graph with the midpoints of S dead, the components
-    # restricted to the vertices are those of scc(g - S)
-    rng = random.Random(5)
-    for g, seed in seeded_random_graphs(60, n_hi=12):
-        items, offset, succ, pred = _adjacency(g, "edge")
-        for count in sorted({0, rng.randint(0, g.m), g.m}):
-            removed = rng.sample(range(g.m), count)
-            dead = _mask(len(succ), [offset + i for i in removed])
-            got = [sorted(v for v in comp if v < g.n)
-                   for comp in _components(succ, pred, dead)]
-            want = sk.scc(sk.remove_edges(g, [items[i] for i in removed])).components
-            assert [c for c in got if c] == want, (seed, removed)
-
-
 def test_component_order_matches_tarjan():
     # Kosaraju's pass 2 meets the components in decreasing finish time of
     # their first-discovered node; reversed, that is Tarjan's emit order.
-    # Masks: none, a random set, one live node and all nodes dead, on the
-    # graph and on its edge-split graph
+    # Masks: none, a random set, one live node and all nodes dead
     rng = random.Random(11)
     for g, seed in seeded_random_graphs(60, n_hi=12):
-        for kind in ("vertex", "edge"):
-            _, _, succ, pred = _adjacency(g, kind)
-            size = len(succ)
-            live = rng.randrange(size)
-            for dead_nodes in ([], rng.sample(range(size), rng.randint(0, size)),
-                               [v for v in range(size) if v != live], range(size)):
-                dead = _mask(size, dead_nodes)
-                got = [sorted(c) for c in _components(succ, pred, dead)]
-                want = [sorted(c) for c in reference_components(succ, dead)]
-                assert got == want, (seed, kind, list(dead_nodes))
+        succ = [g.successors(v) for v in range(g.n)]
+        pred = [g.predecessors(v) for v in range(g.n)]
+        live = rng.randrange(g.n)
+        for dead_nodes in ([], rng.sample(range(g.n), rng.randint(0, g.n)),
+                           [v for v in range(g.n) if v != live], range(g.n)):
+            dead = _mask(g.n, dead_nodes)
+            got = [sorted(c) for c in _components(succ, pred, dead)]
+            want = [sorted(c) for c in reference_components(succ, dead)]
+            assert got == want, (seed, list(dead_nodes))
 
 
 def test_matches_networkx_past_oracle():
