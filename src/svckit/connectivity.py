@@ -137,15 +137,32 @@ def _min_flow(
     return best, cut
 
 
-def _pivot_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
-    """Non-arc pairs whose minimum vertex flow is sigma0, for the pivot v
-    with the fewest: (v, w) for w not in N+(v), (w, v) for w not in N-(v),
-    (x, y) for x in N-(v), y in N+(v). A minimum separator S either misses
-    v, and a pair through v crosses it, or holds v, and then a shortest
-    path across S in G - (S - v) is some x -> v -> y."""
-    # v has (n-1-d+) + (n-1-d-) + d+ d- = 2n - 3 + (d+ - 1)(d- - 1) pairs
-    v = min(range(g.n), key=lambda w: (len(g.successors(w)) - 1)
-            * (len(g.predecessors(w)) - 1))
+def _pivot(g: Graph, k: Optional[int] = None) -> int:
+    """The pivot for ``_pivot_pairs``, ties to the lowest id. Scans (k None)
+    take the fewest pairs, as their flows stop at the running best. Listing
+    at k takes the highest min(d+, d-) among vertices with at most 3n - 3
+    pairs, whose flows mostly saturate while packing; else the fewest
+    pairs, counting twice the n - 1 - k pairs on a side of degree k, which
+    all list that neighbourhood."""
+    n = g.n
+
+    def key(w: int):
+        dout, din = len(g.successors(w)), len(g.predecessors(w))
+        extra = (dout - 1) * (din - 1)  # w has 2n - 3 + extra pairs
+        if k is None:
+            return extra
+        return (-min(dout, din) if extra <= n else 0,
+                extra + (n - 1 - k) * ((dout == k) + (din == k)))
+    return min(range(n), key=key)
+
+
+def _pivot_pairs(g: Graph, v: int) -> Iterator[Tuple[int, int]]:
+    """Non-arc pairs whose minimum vertex flow is sigma0, for any pivot v:
+    (v, w) for w not in N+(v), (w, v) for w not in N-(v), (x, y) for x in
+    N-(v), y in N+(v). A minimum separator S either misses v, and a pair
+    through v crosses it, or holds v, and then a shortest path across S
+    in G - (S - v) is some x -> v -> y. So each one is a minimum cut of
+    some pair, whichever v is (``_pivot`` chooses it)."""
     yield from ((v, w) for w in range(g.n) if w != v and not g.has_edge(v, w))
     yield from ((w, v) for w in range(g.n) if w != v and not g.has_edge(w, v))
     for x in g.predecessors(v):
@@ -182,7 +199,7 @@ def svc(g: DirectedGraph) -> int:
     bidirected graph (one-vertex clause of the definition). The minimum
     flow over ``_pivot_pairs``, from the degree bound (``_scan``)."""
     _require_strong(g)
-    return _scan(g, "vertex", _pivot_pairs(g), _vertex_upper_bound(g))
+    return _scan(g, "vertex", _pivot_pairs(g, _pivot(g)), _vertex_upper_bound(g))
 
 
 def sec(g: Graph) -> int:
@@ -208,13 +225,14 @@ def _weakening_sets(
 
     At k = 1 the sets are the ``_candidates`` (vertices) or ``_bridges``
     (edges) of one dominator pass over g. At k >= 2 they are the minimum
-    cuts of the pairs that reach sigma (``_pivot_pairs`` for vertices, the
-    cyclic pairs for edges) from ``min_cuts``, de-duplicated and sorted, or
-    every (n-1)-subset of the complete bidirected graph, which has no pivot
-    pair. Each set is sized by one Kosaraju pass over the vertex lists
-    masked to its ``away`` (every live vertex if None: root candidate,
-    fallback, cuts at k >= 2), the root's SCC being the rest; an edge
-    set's arcs are left out of copies of the lists they touch.
+    cuts of the pairs that reach sigma (``_pivot_pairs`` of ``_pivot(g, k)``
+    for vertices, the cyclic pairs for edges) from ``min_cuts``,
+    de-duplicated and sorted, or every (n-1)-subset of the complete
+    bidirected graph, which has no pivot pair. Each set is sized by one
+    Kosaraju pass over the vertex lists masked to its ``away`` (every live
+    vertex if None: root candidate, fallback, cuts at k >= 2), the root's
+    SCC being the rest; an edge set's arcs are left out of copies of the
+    lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
@@ -229,7 +247,7 @@ def _weakening_sets(
     elif kind == "vertex" and k == g.n - 1:
         sets = ((w, None) for w in itertools.combinations(range(g.n), k))
     else:
-        net, pairs = ((VertexFlowNetwork(g), _pivot_pairs(g)) if kind == "vertex"
+        net, pairs = ((VertexFlowNetwork(g), _pivot_pairs(g, _pivot(g, k))) if kind == "vertex"
                       else (EdgeFlowNetwork(g), _cyclic_pairs(g)))
         sets = [(cut, None) for cut in sorted({
             cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
@@ -267,10 +285,11 @@ def weakening_vertex_sets(
     At sigma0 = 1 enumeration costs one strong articulation point pass
     (dominator trees of g and its reverse, O(m)), each set sized over the
     vertices it cuts off. At k = sigma0 >= 2 it costs one split-network
-    flow capped at k + 1 per pivot pair (at most 2n - 3 + (d+ - 1)(d- - 1)
-    pairs, for the pivot's degrees), plus O(m) per minimum cut of a pair,
-    from its residual network, and a full O(m) SCC pass per cut; ``limit``
-    caps the sizing, not that listing. sigma0 >= 3 needs allow_large=True.
+    flow capped at k + 1 per pair of the listing pivot (``_pivot``; at most
+    2n - 3 + (d+ - 1)(d- - 1) pairs, for its degrees), plus O(m) per
+    minimum cut of a pair, from its residual network, and a full O(m) SCC
+    pass per cut; ``limit`` caps the sizing, not that listing. sigma0 >= 3
+    needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "vertex", svc(g), limit, allow_large)
@@ -303,7 +322,7 @@ def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
     Esfahanian & Hakimi (1984) pair set (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    pairs = ((a, b) for a, b in _pivot_pairs(d) if a < b)
+    pairs = ((a, b) for a, b in _pivot_pairs(d, _pivot(d)) if a < b)
     return _scan(d, "vertex", pairs, _vertex_upper_bound(d))
 
 

@@ -12,6 +12,7 @@ from svckit.connectivity import (
     _bridges,
     _candidates,
     _degrees,
+    _pivot,
     _pivot_pairs,
     _vertex_upper_bound,
     _weakening_sets,
@@ -342,10 +343,67 @@ class TestWeakeningSets:
         monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "vertex", k, None, True)
-        pairs = list(_pivot_pairs(g))
+        pairs = list(_pivot_pairs(g, _pivot(g, k)))
+        assert _pivot(g, k) == _pivot(g)  # the scans' pivot as well
         assert (k, g.n, len(pairs), len(sets)) == (3, 14, 28, 1)
         assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         assert passes == []
+
+    def test_listing_pivot_flows_bound_the_work(self, monkeypatch):
+        # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. The listing
+        # pivot has in- and out-degree 5 and 66 pairs, one flow capped at
+        # k + 1 each, and only 11 of them end below the cap and list a cut.
+        # The scans' pivot, with degrees (2, 3), has 59 pairs, and 31 of
+        # them list, mostly its own out-neighbourhood again
+        g = sk.random_digraph(30, 0.15, 32)
+        k = sk.svc(g)
+        flows, below = [], []
+        max_flow = VertexFlowNetwork._max_flow
+
+        def counted_flow(net, cap, s, t, limit, flow=0):
+            value, parent = max_flow(net, cap, s, t, limit, flow)
+            flows.append((s, t, limit))
+            below.append(parent is not None)
+            return value, parent
+
+        monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+        sets = _weakening_sets(g, "vertex", k, None, False)
+        v = _pivot(g, k)
+        pairs = list(_pivot_pairs(g, v))
+        assert (k, g.n, len(sets)) == (2, 30, 9)
+        assert (len(g.successors(v)), len(g.predecessors(v)), len(pairs)) == (5, 5, 66)
+        assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
+        assert sum(below) == 11
+        monkeypatch.undo()
+        u = _pivot(g)
+        net = VertexFlowNetwork(g)
+        listing = [any(True for _ in net.min_cuts(a, b, k)) for a, b in _pivot_pairs(g, u)]
+        assert (len(g.successors(u)), len(g.predecessors(u))) == (2, 3)
+        assert (len(listing), sum(listing)) == (59, 31)
+
+    def test_every_pivot_lists_the_same_sets(self):
+        # every minimum vertex set is a minimum cut of some pair of every
+        # vertex v, not only of the listing pivot's: seeded cores with
+        # n 13-40 past the oracle, gamma(a, b) for b <= 4, halves joined
+        # through a k-vertex middle and unions of k arc-disjoint cycles
+        graphs = [g for g, _ in strongly_connected_corpus(40, n_lo=13, n_hi=40,
+                                                          probs=(0.12, 0.2, 0.3))]
+        graphs += [sk.gamma(sk.FamilyParams(a, b)) for b in range(1, 5) for a in range(1, b + 1)]
+        graphs += [_separated(n, k, seed) for k, n, seed in ((2, 14, 0), (4, 13, 3), (5, 15, 4))]
+        graphs += [_disjoint_cycles(13, k, 0) for k in (2, 3, 4)]
+        ks, several = [], 0
+        for g in graphs:
+            k = sk.svc(g)
+            if not 2 <= k <= min(5, g.n - 2):
+                continue
+            ks.append(k)
+            want = [w.members for w in _weakening_sets(g, "vertex", k, None, True)]
+            several += len(want) >= 2
+            net = VertexFlowNetwork(g)
+            for v in range(g.n):
+                cuts = {cut for a, b in _pivot_pairs(g, v) for cut in net.min_cuts(a, b, k)}
+                assert sorted(cuts) == want, (g, v)
+        assert set(ks) == {2, 3, 4, 5} and len(ks) >= 25 and several >= 15
 
     def test_edge_sets_match_reference_up_to_k4(self):
         # n >= 13, past the oracle: unions of k random Hamiltonian cycles
