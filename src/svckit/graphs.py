@@ -245,42 +245,41 @@ def induced(
     return remove_vertices(g, set(range(g.n)) - uset)
 
 
-def _bfs(adj: list, src: int) -> Optional[list]:
-    # BFS distances from src over adj, None if some vertex is unreachable
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    queue = [src]
-    for u in queue:
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist if len(queue) == len(adj) else None
+def _diameter(g: DirectedGraph) -> Optional[int]:
+    full, reach = (1 << g.n) - 1, [1 << v for v in range(g.n)]
+    grown, diameter = set(range(g.n)), -1
+    while grown:
+        todo = {u for w in grown for u in g._pred[w]}
+        if any(reach[v] != full for v in grown - todo):
+            return None  # no successor of these grew: their reach is final
+        old, grown, diameter = reach[:], set(), diameter + 1
+        for v in todo:
+            r = old[v]
+            for w in g._succ[v]:
+                r |= old[w]
+            if r != old[v]:
+                reach[v] = r
+                grown.add(v)
+            elif r != full:
+                return None
+    return diameter
 
 
 def stats(g: DirectedGraph) -> GraphStats:
     """Degree summary plus directed diameter (None when not strongly
     connected). The underlying degree of v is |N+(v) | N-(v)|. The
-    diameter is exact from eccentricity bounds (Crescenzi, Grossi, Lanzi
-    & Marino 2013): a BFS each way from x gives diameter >= ecc+-(x) and
-    ecc+(u) <= d(u, x) + ecc+(x), or 1 at out-degree n - 1; x is next the
-    vertex with the largest upper bound, until none exceeds the lower."""
+    diameter is from a bit-parallel BFS of all sources (after Akiba, Iwata
+    & Yoshida 2013): reach[v], an n-bit int, holds the vertices within d
+    arcs of v. Level d + 1 ORs level d's reach[w], w in N+(v), into
+    reach[v] for the predecessors v of the vertices that grew: at most
+    n + m ORs of n bits. The diameter counts the levels at which some reach
+    grew. A reach that did not or cannot grow is final, and the first final
+    one that is not full gives None. Memory: n^2/8 bytes, twice that within
+    a level (0.4 MB at n = 1759, 50 MB at n = 20,000)."""
     if g.n == 0:
         return GraphStats(0, 0, 0, 0, 0, 0, 0, 0, None)
-    udeg = [len(set(g.successors(v)).union(g.predecessors(v))) for v in range(g.n)]
-    indeg = [len(g.predecessors(v)) for v in range(g.n)]
-    outdeg = [len(g.successors(v)) for v in range(g.n)]
-    ub = [1 if d == g.n - 1 else g.n for d in outdeg]
-    diameter, x = 0, 0
-    while ub[x] > diameter:
-        fwd, bwd = _bfs(g._succ, x), _bfs(g._pred, x)
-        if fwd is None or bwd is None:
-            diameter = None
-            break
-        ecc = max(fwd)
-        diameter = max(diameter, ecc, max(bwd))
-        ub = [min(b, d + ecc) for b, d in zip(ub, bwd)]
-        x = max(range(g.n), key=ub.__getitem__)
+    udeg = [len(set(s).union(p)) for s, p in zip(g._succ, g._pred)]
+    indeg, outdeg = list(map(len, g._pred)), list(map(len, g._succ))
     return GraphStats(
         n=g.n,
         m=g.m,
@@ -290,5 +289,5 @@ def stats(g: DirectedGraph) -> GraphStats:
         max_in=max(indeg),
         min_out=min(outdeg),
         max_out=max(outdeg),
-        diameter=diameter,
+        diameter=_diameter(g),
     )

@@ -4,11 +4,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svckit as sk
-from svckit import graphs
 from svckit.graphs import GraphInputError
 from svckit.oracle import _und_connected
 
@@ -17,6 +16,19 @@ from helpers import reference_diameter, seeded_random_graphs
 
 def cycle3():
     return sk.DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@st.composite
+def digraphs(draw, max_n=8):
+    # any drawn arcs, over a Hamiltonian cycle in a drawn order when drawn
+    # so, so that strongly connected digraphs are common but not the rule
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])))
+    if n > 1 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        arcs |= {(order[i - 1], order[i]) for i in range(n)}
+    return sk.DirectedGraph(n, arcs)
 
 
 @st.composite
@@ -234,38 +246,42 @@ class TestStats:
         assert checked >= 60
 
     @staticmethod
-    def _bfs_count(monkeypatch, g):
-        calls = []
-        real = graphs._bfs
+    def _shapes():
+        # (graph, diameter): cycles both ways round, a one-way path, the
+        # complete bidirected graph, two strong blocks (a 3-clique and a
+        # 4-cycle) joined by one-way arcs, in one direction or in both, and
+        # a 140-cycle plus 210 random arcs
+        def reverse(g):
+            return sk.DirectedGraph(g.n, [(v, u) for u, v in g.edges])
 
-        def counting(adj, src):
-            calls.append(src)
-            return real(adj, src)
-
-        monkeypatch.setattr(graphs, "_bfs", counting)
-        diameter = sk.stats(g).diameter
-        monkeypatch.setattr(graphs, "_bfs", real)
-        return diameter, len(calls)
-
-    def test_sparse_diameter_needs_few_bfs(self, monkeypatch):
-        # a 140-cycle plus 210 random arcs: fewer than n / 2 BFS, where the
-        # all-pairs loop runs n
         rng = random.Random(1)
         order = rng.sample(range(140), 140)
         arcs = {(order[i - 1], order[i]) for i in range(140)}
         while len(arcs) < 350:
             u, v = rng.sample(range(140), 2)
             arcs.add((u, v))
-        g = sk.DirectedGraph(140, arcs)
-        diameter, calls = self._bfs_count(monkeypatch, g)
-        assert diameter == reference_diameter(g)
-        assert calls < g.n / 2
+        blocks = set(sk.doubled_complete(3).edges)
+        blocks |= {(3 + u, 3 + v) for u, v in sk.directed_cycle(4).edges}
+        out = []
+        for n in (2, 50, 300):
+            out += [(sk.directed_cycle(n), n - 1), (reverse(sk.directed_cycle(n)), n - 1)]
+        out.append((sk.DirectedGraph(300, [(i, i + 1) for i in range(299)]), None))
+        out.append((sk.DirectedGraph(1, []), 0))
+        out += [(sk.doubled_complete(n), 1) for n in (2, 3, 7, 20)]
+        out.append((sk.DirectedGraph(7, blocks | {(0, 3), (2, 5)}), None))
+        out.append((sk.DirectedGraph(7, blocks | {(0, 3), (5, 1)}), 5))
+        out.append((sk.DirectedGraph(140, arcs), 12))
+        return out
 
-    def test_complete_diameter_needs_one_bfs_pair(self, monkeypatch):
-        # every out-degree is n - 1, so every eccentricity is bounded by 1
-        # before any BFS; the first pair settles it (not 2n BFS)
-        for n in (2, 3, 7, 20):
-            assert self._bfs_count(monkeypatch, sk.doubled_complete(n)) == (1, 2)
+    def test_diameter_of_shapes(self):
+        assert sk.stats(sk.DirectedGraph(0, [])).diameter is None
+        for g, diameter in self._shapes():
+            assert sk.stats(g).diameter == reference_diameter(g) == diameter, g
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_diameter_matches_reference(self, g):
+        assert sk.stats(g).diameter == reference_diameter(g)
 
     def test_underlying_degrees_match_underlying_graph(self):
         for g, seed in seeded_random_graphs(40, n_lo=1, n_hi=10):

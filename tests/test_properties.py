@@ -4,8 +4,6 @@ degrees, and that every reported witness breaks strong connectivity;
 and on small connected undirected graphs, zeta0/zeta1 against svc/sec of
 the doubled digraph built as a copy."""
 
-import math
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -56,8 +54,6 @@ def test_every_witness_breaks_strong_connectivity(g):
     for w in sk.weakening_vertex_sets(g, allow_large=True):
         h, _ = sk.remove_vertices(g, w.members)
         assert h.n == 1 or not sk.is_strongly_connected(h)
-    if math.comb(g.m, sk.sec(g) - 1) > 2000:
-        return  # one dominator pass per (sigma1 - 1)-subset of edges
     for w in sk.weakening_edge_sets(g, allow_large=True):
         assert not sk.is_strongly_connected(sk.remove_edges(g, w.members))
 
