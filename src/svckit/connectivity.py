@@ -8,10 +8,15 @@ computed from unit-capacity max-flow on one flow network per graph, with
 pruning: a running best value caps every flow and a scan stops at 1 (or
 at degree bound 2 runs the k = 1 pass below, no flow). The
 vertex case (sigma0, and zeta0 on the underlying graph read as its own
-doubled digraph) runs only one pivot vertex's pairs, the
-Esfahanian-Hakimi (1984) pair set; the edge case follows the cyclic
-order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a minimum cut delta+(S)
-is crossed by some consecutive pair leaving S).
+doubled digraph) runs Even's (1975) pairs on a maximum-adjacency order:
+the non-arc pairs among v_1 .. v_p (p >= best), then x -> v_j and
+v_j -> y for j > p, x and y joined to v_1 .. v_{j-1}. A separator S with
+|S| < best misses a prefix vertex: two outside S lie in different SCCs of
+G - S, and a first pair crosses S, or all lie in one, C, and S cuts x from
+the first v_j outside S + C, or v_j from y. A cut of fewer than j - 1
+vertices spares a prefix vertex, so it is a separator. The edge case
+follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a
+minimum cut delta+(S) is crossed by some consecutive pair leaving S).
 
 Minimum vertex and edge sets at k = 1 come from one dominator pass: the
 strong articulation points of G are the non-trivial dominators of G and
@@ -19,8 +24,8 @@ of its reverse from one root, and the strong bridges, O(m) over n nodes,
 are the bridges of those flow graphs (Italiano, Laura & Santaroni 2012).
 A set is sized from the subtrees it cuts off: G - c is the root's SCC
 plus the SCCs among them (Georgiadis, Italiano & Parotsidis 2017). Sets
-at k = sigma >= 2 are the minimum cuts of the pairs that reach sigma, the
-pivot pairs for vertices and the cyclic pairs for edges, listed from each
+at k = sigma >= 2 are the minimum cuts of the pairs that reach sigma
+(prefix pairs with p = k + 1, cyclic pairs for edges), listed from each
 pair's residual network by the lister both flow networks share (Picard &
 Queyranne 1980): one flow capped at k + 1 per pair plus O(m) per cut. A
 full Kosaraju pass over the vertex lists sizes the root candidate, the
@@ -29,6 +34,7 @@ fallback and each cut, and no graph is rebuilt.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -103,7 +109,7 @@ def local_sigma(g: DirectedGraph, u: int, v: int) -> int:
         raise GraphInputError("vertices must differ")
     _require_strong(g)
     pairs = [(a, b) for a, b in ((u, v), (v, u)) if not g.has_edge(a, b)]
-    return _min_flow(VertexFlowNetwork, g, pairs, g.n - 1, 0)[0]
+    return _min_flow(VertexFlowNetwork(g), pairs, g.n - 1, 0)[0]
 
 
 def _degrees(g: Graph) -> List[int]:
@@ -116,18 +122,13 @@ def _vertex_upper_bound(g: Graph) -> int:
     return min([d for d in _degrees(g) if d <= g.n - 2], default=g.n - 1)
 
 
-def _min_flow(
-    network: type, g: Graph, pairs: Iterable[Tuple[int, int]],
-    best: int, lower: int,
-) -> Tuple[int, Optional[Tuple]]:
-    """min(best, min flow over ``pairs`` on one ``network`` of g) and the
-    cut of the first pair that went below best (None if none did). Flows
-    are capped at the running best; the loop stops once it reaches
+def _min_flow(net, pairs: Iterable[Tuple[int, int]], best: int,
+              lower: int) -> Tuple[int, Optional[Tuple]]:
+    """min(best, min flow over ``pairs`` on the flow network ``net``) and
+    the cut of the first pair that went below best (None if none did).
+    Flows are capped at the running best; the loop stops once it reaches
     ``lower``. Vertex flows need pairs that are not arcs."""
     cut = None
-    if best <= lower:
-        return best, cut
-    net = network(g)
     for a, b in pairs:
         ans = net.flow(a, b, cap=best)
         if not ans.saturated:
@@ -137,36 +138,39 @@ def _min_flow(
     return best, cut
 
 
-def _pivot(g: Graph, k: Optional[int] = None) -> int:
-    """The pivot for ``_pivot_pairs``, ties to the lowest id. Scans (k None)
-    take the fewest pairs, as their flows stop at the running best. Listing
-    at k takes the highest min(d+, d-) among vertices with at most 3n - 3
-    pairs, whose flows mostly saturate while packing; else the fewest
-    pairs, counting twice the n - 1 - k pairs on a side of degree k, which
-    all list that neighbourhood."""
-    n = g.n
+def _adjacency_order(g: Graph) -> List[int]:
+    """Maximum-adjacency order of connected g (Nagamochi & Ibaraki 1992):
+    from the vertex of highest d+ + d-, each next one has the most arcs to
+    or from the ones before it, ties to the lowest id."""
+    score, done, order = [0] * g.n, bytearray(g.n), []
+    heap = [(0, max(range(g.n), key=lambda v: len(g.successors(v)) + len(g.predecessors(v))))]
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if not done[v]:
+            done[v] = 1
+            order.append(v)
+            for w in itertools.chain(g.successors(v), g.predecessors(v)):
+                if not done[w]:
+                    score[w] -= 1
+                    heapq.heappush(heap, (score[w], w))
+    return order
 
-    def key(w: int):
-        dout, din = len(g.successors(w)), len(g.predecessors(w))
-        extra = (dout - 1) * (din - 1)  # w has 2n - 3 + extra pairs
-        if k is None:
-            return extra
-        return (-min(dout, din) if extra <= n else 0,
-                extra + (n - 1 - k) * ((dout == k) + (din == k)))
-    return min(range(n), key=key)
+
+def _prefix_pairs(net: VertexFlowNetwork, p: int) -> Iterator[Tuple[int, int]]:
+    """Even's pairs on ``_adjacency_order``, vertex n naming x and y: each
+    non-arc pair among the first p vertices, then (n, v) and (v, n) for each
+    later v, enabled after its pairs; one way on an UndirectedGraph."""
+    g, ways, order = net.g, 2 - isinstance(net.g, UndirectedGraph), _adjacency_order(net.g)
+    for j, v in enumerate(order):
+        yield from ((a, b) for u in order[:j] for a, b in ((u, v), (v, u))[:ways]
+                    if not g.has_edge(a, b)) if j < p else ((g.n, v), (v, g.n))[:ways]
+        net.enable(v)
 
 
-def _pivot_pairs(g: Graph, v: int) -> Iterator[Tuple[int, int]]:
-    """Non-arc pairs whose minimum vertex flow is sigma0, for any pivot v:
-    (v, w) for w not in N+(v), (w, v) for w not in N-(v), (x, y) for x in
-    N-(v), y in N+(v). A minimum separator S either misses v, and a pair
-    through v crosses it, or holds v, and then a shortest path across S
-    in G - (S - v) is some x -> v -> y. So each one is a minimum cut of
-    some pair, whichever v is (``_pivot`` chooses it)."""
-    yield from ((v, w) for w in range(g.n) if w != v and not g.has_edge(v, w))
-    yield from ((w, v) for w in range(g.n) if w != v and not g.has_edge(w, v))
-    for x in g.predecessors(v):
-        yield from ((x, y) for y in g.successors(v) if x != y and not g.has_edge(x, y))
+def _network(g: Graph, kind: str, p: int) -> Tuple:
+    """A flow network of g and its pairs: prefix or cyclic pairs."""
+    net = VertexFlowNetwork(g) if kind == "vertex" else EdgeFlowNetwork(g)
+    return net, _prefix_pairs(net, p) if kind == "vertex" else _cyclic_pairs(g)
 
 
 def _cyclic_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
@@ -183,23 +187,22 @@ def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int,
     skipped."""
     pairs = ((a, b) for s in range(k + 2) for t in range(s + 1, g.n)
              for a, b in ((s, t), (t, s)) if not g.has_edge(a, b))
-    return _min_flow(VertexFlowNetwork, g, pairs, k + 1, k)
+    return _min_flow(VertexFlowNetwork(g), pairs, k + 1, k)
 
 
-def _scan(g: Graph, kind: str, pairs: Iterable[Tuple[int, int]], best: int) -> int:
-    """At degree bound 2, 1 iff the k = 1 pass finds a cut; else flows."""
-    if best == 2:
-        return 1 if _weakening_sets(g, kind, 1, 1, False) else 2
-    network = VertexFlowNetwork if kind == "vertex" else EdgeFlowNetwork
-    return _min_flow(network, g, pairs, best, 1)[0]
+def _scan(g: Graph, kind: str, best: int) -> int:
+    """1 at degree bound 1; at 2, 1 iff the k = 1 pass finds a cut; else flows."""
+    if best <= 2:
+        return 1 if best == 1 or _weakening_sets(g, kind, 1, 1, False) else 2
+    return _min_flow(*_network(g, kind, best), best, 1)[0]
 
 
 def svc(g: DirectedGraph) -> int:
     """sigma0: strong vertex connectivity. n-1 for the complete
     bidirected graph (one-vertex clause of the definition). The minimum
-    flow over ``_pivot_pairs``, from the degree bound (``_scan``)."""
+    flow over ``_prefix_pairs``, from the degree bound (``_scan``)."""
     _require_strong(g)
-    return _scan(g, "vertex", _pivot_pairs(g, _pivot(g)), _vertex_upper_bound(g))
+    return _scan(g, "vertex", _vertex_upper_bound(g))
 
 
 def sec(g: Graph) -> int:
@@ -207,7 +210,7 @@ def sec(g: Graph) -> int:
     cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0 (``_scan``).
     An UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
-    return _scan(g, "edge", _cyclic_pairs(g), min(_degrees(g)))
+    return _scan(g, "edge", min(_degrees(g)))
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -225,10 +228,10 @@ def _weakening_sets(
 
     At k = 1 the sets are the ``_candidates`` (vertices) or ``_bridges``
     (edges) of one dominator pass over g. At k >= 2 they are the minimum
-    cuts of the pairs that reach sigma (``_pivot_pairs`` of ``_pivot(g, k)``
-    for vertices, the cyclic pairs for edges) from ``min_cuts``,
-    de-duplicated and sorted, or every (n-1)-subset of the complete
-    bidirected graph, which has no pivot pair. Each set is sized by one
+    cuts of the pairs that reach sigma (``_prefix_pairs`` with k + 1
+    prefix vertices, so that no cut holds the whole prefix, or the cyclic
+    pairs for edges) from ``min_cuts``, de-duplicated and sorted, or every
+    (n-1)-subset of the complete bidirected graph. Each set is sized by one
     Kosaraju pass over the vertex lists masked to its ``away`` (every live
     vertex if None: root candidate, fallback, cuts at k >= 2), the root's
     SCC being the rest; an edge set's arcs are left out of copies of the
@@ -247,8 +250,7 @@ def _weakening_sets(
     elif kind == "vertex" and k == g.n - 1:
         sets = ((w, None) for w in itertools.combinations(range(g.n), k))
     else:
-        net, pairs = ((VertexFlowNetwork(g), _pivot_pairs(g, _pivot(g, k))) if kind == "vertex"
-                      else (EdgeFlowNetwork(g), _cyclic_pairs(g)))
+        net, pairs = _network(g, kind, k + 1)
         sets = [(cut, None) for cut in sorted({
             cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
     out = WitnessList()
@@ -285,11 +287,11 @@ def weakening_vertex_sets(
     At sigma0 = 1 enumeration costs one strong articulation point pass
     (dominator trees of g and its reverse, O(m)), each set sized over the
     vertices it cuts off. At k = sigma0 >= 2 it costs one split-network
-    flow capped at k + 1 per pair of the listing pivot (``_pivot``; at most
-    2n - 3 + (d+ - 1)(d- - 1) pairs, for its degrees), plus O(m) per
-    minimum cut of a pair, from its residual network, and a full O(m) SCC
-    pass per cut; ``limit`` caps the sizing, not that listing. sigma0 >= 3
-    needs allow_large=True.
+    flow capped at k + 1 per prefix pair (at most k(k + 1) + 2(n - k - 1)
+    pairs, most settled by packing short paths), plus O(m) per minimum cut
+    of a pair, from its residual network, and a full O(m) SCC pass per
+    cut; ``limit`` caps the sizing, not that listing. sigma0 >= 3 needs
+    allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "vertex", svc(g), limit, allow_large)
@@ -318,12 +320,10 @@ def weakening_edge_sets(
 def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
     """Classical zeta0 as sigma0 of the doubled digraph, which ``d``'s
     neighbour lists already are, so no copy is built. There MF(a, b) =
-    MF(b, a): each unordered pivot pair runs once, which is the
-    Esfahanian & Hakimi (1984) pair set (``_scan``). Disconnected -> 0."""
+    MF(b, a): each prefix pair runs one way (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    pairs = ((a, b) for a, b in _pivot_pairs(d, _pivot(d)) if a < b)
-    return _scan(d, "vertex", pairs, _vertex_upper_bound(d))
+    return _scan(d, "vertex", _vertex_upper_bound(d))
 
 
 def undirected_edge_connectivity(d: UndirectedGraph) -> int:
@@ -332,7 +332,7 @@ def undirected_edge_connectivity(d: UndirectedGraph) -> int:
     edges crossing a bipartition (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return _scan(d, "edge", _cyclic_pairs(d), min(_degrees(d)))
+    return _scan(d, "edge", min(_degrees(d)))
 
 
 def report(

@@ -17,19 +17,18 @@ residual network. Only two things differ: which item a forward arc cuts
 ``_start`` maps a pair to its source and sink nodes.
 
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
-capacity 1 on the internal arc) so the flow value counts internally
-disjoint paths, which is what Menger-style vertex cuts require. A vertex
-flow starts from a greedy packing of disjoint paths s -> x -> t, then
-s -> a -> b -> t, and augments only for the rest (Even & Tarjan 1975).
-Values and cuts do not depend on the starting flow: a saturated flow only
-certifies its cap, and every maximum flow leaves the same set reachable
-from s in its residual network, which is where the cut is read.
+capacity 1 on the internal arc), so the flow counts internally disjoint
+paths, plus a super source x and sink y joined to each vertex once it is
+enabled (Even 1975). A flow starts from a greedy packing of disjoint paths
+s -> a -> t, then s -> a -> b -> t, and augments only for the rest (Even &
+Tarjan 1975). Values and cuts do not depend on the starting flow: a
+saturated flow only certifies its cap, and every maximum flow leaves the
+same set reachable from s in its residual network, where the cut is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, List, Optional, Tuple
 
 from .graphs import Graph, GraphInputError
@@ -152,7 +151,7 @@ class _Network:
         parent = self._max_flow(cap, src, snk, k + 1, packed)[1]
         if parent is None:
             return
-        head, to, items = self.head, self.to, self.items
+        head, to, items, template = self.head, self.to, self.items, self.template
 
         def settle(side: List[int], v: int, mark: int) -> List[int]:
             # v with its descendants into T (mark 1), or with its ancestors
@@ -174,8 +173,8 @@ class _Network:
         while stack:
             side = stack.pop()
             # forward arcs leaving T, in arc order: the cut, or a frontier
-            arcs = [eid for u, d in enumerate(side) if d > 0
-                    for eid in head[u] if not eid & 1 and side[to[eid]] <= 0]
+            arcs = [eid for u, d in enumerate(side) if d > 0 for eid in head[u]
+                    if not eid & 1 and side[to[eid]] <= 0 and template[eid]]
             v = min((to[eid] for eid in arcs if not side[to[eid]]), default=None)
             if v is None:
                 yield tuple(items[eid >> 1] for eid in arcs)
@@ -192,7 +191,7 @@ class VertexFlowNetwork(_Network):
     sorted successors."""
 
     def __init__(self, g: Graph):
-        super().__init__(2 * g.n)
+        super().__init__(2 * g.n + 2)
         self.g, self.items = g, range(g.n)
         n = g.n
         for w in range(n):
@@ -200,32 +199,49 @@ class VertexFlowNetwork(_Network):
         for u in range(n):
             for v in g.successors(u):
                 self._add_arc(2 * u + 1, 2 * v, n)
+        self.xy = len(self.to)  # arc xy + 4v is x -> v_in, xy + 4v + 2 is v_out -> y
+        for v in range(n):
+            self._add_arc(2 * n + 1, 2 * v, 0)
+            self._add_arc(2 * v + 1, 2 * n, 0)
+
+    def enable(self, v: int) -> None:
+        """Open v's arcs from x and to y, capacity n, for the flows to come."""
+        self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = self.g.n
 
     def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
-        """From s_out to t_in, after ``_pack``. Requires that the edge
-        (s, t) is absent; with a direct edge no separating vertex cut exists
-        and the quantity is undefined. No path enters s_in or leaves t_in,
-        so the internal arcs of s and t never carry flow or join a cut."""
-        _check_pair(self.g, s, t)
-        if self.g.has_edge(s, t):
+        """From s_out to t_in, after ``_pack``; vertex n names x as a source
+        and y as a sink. Requires that the edge (s, t) is absent; with a
+        direct edge no separating vertex cut exists and the quantity is
+        undefined. No path enters s_in or leaves t_in, so the internal arcs
+        of s and t never carry flow or join a cut."""
+        _check_pair(self.g.n + 1, s, t)
+        if self.g.n not in (s, t) and self.g.has_edge(s, t):
             raise GraphInputError(
                 f"edge ({s}, {t}) present: no separating vertex cut exists"
             )
         return 2 * s + 1, 2 * t, self._pack(cap, s, t, limit)
 
     def _pack(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> int:
-        """Write vertex-disjoint paths s -> x -> t, then s -> a -> b -> t,
-        into ``cap`` until ``limit``; returns how many. A middle vertex w
-        is free while its internal arc 2w has capacity left."""
-        head, to = self.head, self.to
-        into = {to[e] >> 1: e ^ 1 for e in head[2 * t] if e & 1}  # x_out -> t_in
-        out = [(e, to[e] >> 1) for e in head[2 * s + 1] if not e & 1]  # s_out -> a_in
-        paths = chain(
-            ((e, 2 * x, into[x]) for e, x in out if x in into),
-            ((e, 2 * a, f, to[f], into[to[f] >> 1]) for e, a in out for f in head[2 * a + 1]
-             if not f & 1 and cap[2 * a] and cap[to[f]] and to[f] >> 1 in into))
+        """Write vertex-disjoint paths s -> a -> t, then s -> a -> b -> t,
+        into ``cap`` until ``limit``; returns how many. A middle vertex w is
+        free while its internal arc 2w has capacity left, and is reached by
+        graph arcs only; from x, backwards from t (r = 1), in O(deg^2)."""
+        n, head, to, xy, r = self.g.n, self.head, self.to, self.xy, int(s == self.g.n)
+        # far(a): the arc a_out -> t_in, or a's arc from x or to y if a is in the prefix
+        far = ({to[e] >> 1: e ^ 1 for e in head[2 * t] if e & 1}.get if n not in (s, t)
+               else lambda a, e=xy + 2 * (t == n): e + 4 * a if cap[e + 4 * a] else None)
+        near = [(e ^ r, to[e] >> 1) for e in head[2 * t if r else 2 * s + 1]
+                if e & 1 == r and e < xy]  # s_out -> a_in, or a_out -> t_in
+
+        def paths() -> Iterator[Tuple[int, ...]]:
+            yield from ((e, 2 * a, far(a)) for e, a in near if far(a) is not None)
+            for e, a in near:
+                for f in head[2 * a + 1 - r] if cap[2 * a] else ():
+                    if f & 1 == r and f < xy and cap[2 * (b := to[f] >> 1)] and far(b) is not None:
+                        yield e, 2 * a, f ^ r, 2 * b, far(b)
+                        break  # a is no longer free
         flow = 0
-        for arcs in paths if limit != 0 else ():
+        for arcs in paths() if limit != 0 else ():
             for e in arcs:
                 cap[e] -= 1
                 cap[e ^ 1] += 1
@@ -247,7 +263,7 @@ class EdgeFlowNetwork(_Network):
             self._add_arc(u, v, 1)
 
     def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
-        _check_pair(self.g, s, t)
+        _check_pair(self.g.n, s, t)
         return s, t, 0
 
 
@@ -264,11 +280,12 @@ def vertex_max_flow(
 ) -> FlowAnswer:
     """Maximum number of internally-vertex-disjoint s->t paths (one-shot
     ``VertexFlowNetwork(g).flow``)."""
+    _check_pair(g.n, s, t)
     return VertexFlowNetwork(g).flow(s, t, cap)
 
 
-def _check_pair(g: Graph, s: int, t: int) -> None:
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise GraphInputError(f"vertex pair ({s}, {t}) outside [0, {g.n})")
+def _check_pair(n: int, s: int, t: int) -> None:
+    if not (0 <= s < n and 0 <= t < n):
+        raise GraphInputError(f"vertex pair ({s}, {t}) outside [0, {n})")
     if s == t:
         raise GraphInputError("source and sink must differ")

@@ -202,7 +202,10 @@ def _bfs_ecc(g: sk.DirectedGraph, src: int) -> Optional[int]:
 
 def reference_diameter(g: sk.DirectedGraph) -> Optional[int]:
     """All-pairs BFS loop, the reference for stats(g).diameter: the largest
-    eccentricity, None as soon as some vertex misses another."""
+    eccentricity, None as soon as some vertex misses another, and None for
+    the empty graph, which is not strongly connected."""
+    if g.n == 0:
+        return None
     diameter = 0
     for v in range(g.n):
         ecc = _bfs_ecc(g, v)

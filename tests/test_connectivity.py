@@ -11,9 +11,9 @@ from svckit.connectivity import (
     EnumerationGuardError,
     _bridges,
     _candidates,
+    _adjacency_order,
     _degrees,
-    _pivot,
-    _pivot_pairs,
+    _prefix_pairs,
     _vertex_upper_bound,
     _weakening_sets,
 )
@@ -97,30 +97,38 @@ class TestSvcSec:
             assert sk.sec(g) == oracle_sec(g), f"seed={seed}"
 
     def test_pair_scan_runs_no_flow_twice(self, monkeypatch):
-        # svc runs no ordered pair twice and at most the pivot's pair
-        # count of flows; zeta0 runs each unordered pair at most once,
-        # since MF(a, b) = MF(b, a) on the doubled digraph
+        # svc and zeta0 run Even's prefix pairs on the adjacency order, each
+        # once and in order, with the degree bound's worth of prefix, until
+        # the value reaches 1; zeta0 runs each unordered pair one way, since
+        # MF(a, b) = MF(b, a) on the doubled digraph. Every flow is capped
+        # at the running best
         calls = []
         flow = VertexFlowNetwork.flow
 
         def counted(net, s, t, cap=None):
-            calls.append((s, t))
-            return flow(net, s, t, cap=cap)
+            ans = flow(net, s, t, cap=cap)
+            calls.append((s, t, cap, ans))
+            return ans
 
         monkeypatch.setattr(VertexFlowNetwork, "flow", counted)
         graphs = [g for g, _ in strongly_connected_corpus(40)]
         graphs += [_sigma_two(40), _planted(12, True), _planted(12, False)]
         runs = 0
         for g in graphs:
-            calls.clear()
-            sk.svc(g)
-            assert len(calls) == len(set(calls)), g
-            assert len(calls) <= _pivot_pair_count(g), g
-            runs += len(calls) > 0
-            calls.clear()
-            sk.undirected_vertex_connectivity(sk.underlying(g))
-            assert len(calls) == len({frozenset(c) for c in calls}), g
-            runs += len(calls) > 0
+            for h, scan in ((g, sk.svc), (sk.underlying(g), sk.undirected_vertex_connectivity)):
+                calls.clear()
+                value, bound = scan(h), _vertex_upper_bound(h)
+                want = _even_pairs(h, _adjacency_order(h), bound) if bound >= 3 else []
+                pairs = [(s, t) for s, t, _, _ in calls]
+                assert pairs == want[:len(pairs)] and (value == 1 or pairs == want), h
+                once = frozenset if isinstance(h, sk.UndirectedGraph) else tuple
+                assert len(set(map(once, pairs))) == len(pairs), h
+                best = bound
+                for _, _, cap, ans in calls:
+                    assert cap == best, h
+                    best = min(best, ans.value)
+                assert value == best, h
+                runs += len(calls) > 0
         assert runs >= 20  # most scans ran flows at all
 
 
@@ -322,10 +330,11 @@ class TestWeakeningSets:
         assert flows == [(v, (v + 1) % g.n, k + 1) for v in range(g.n)]
         assert passes == []
 
-    def test_pivot_pair_flows_bound_the_work(self, monkeypatch):
+    def test_prefix_pair_flows_bound_the_work(self, monkeypatch):
         # gamma(3, 4): sigma0 = 3 on n = 14. Its one vertex set comes from
-        # one split-network flow capped at k + 1 per pivot pair (28 of
-        # them) and no dominator pass, where one pass per 2-prefix took 78
+        # one split-network flow capped at k + 1 per prefix pair on k + 1
+        # prefix vertices (24 of them) and no dominator pass, where one pass
+        # per 2-prefix took 78
         g = sk.gamma(sk.FamilyParams(3, 4))
         k = sk.svc(g)
         module = importlib.import_module("svckit.connectivity")
@@ -343,18 +352,15 @@ class TestWeakeningSets:
         monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "vertex", k, None, True)
-        pairs = list(_pivot_pairs(g, _pivot(g, k)))
-        assert _pivot(g, k) == _pivot(g)  # the scans' pivot as well
-        assert (k, g.n, len(pairs), len(sets)) == (3, 14, 28, 1)
+        pairs = _even_pairs(g, _adjacency_order(g), k + 1)
+        assert (k, g.n, len(pairs), len(sets)) == (3, 14, 24, 1)
         assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         assert passes == []
 
-    def test_listing_pivot_flows_bound_the_work(self, monkeypatch):
-        # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. The listing
-        # pivot has in- and out-degree 5 and 66 pairs, one flow capped at
-        # k + 1 each, and only 11 of them end below the cap and list a cut.
-        # The scans' pivot, with degrees (2, 3), has 59 pairs, and 31 of
-        # them list, mostly its own out-neighbourhood again
+    def test_listing_flows_are_capped_at_k_plus_one(self, monkeypatch):
+        # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. One flow
+        # capped at k + 1 per prefix pair on k + 1 prefix vertices, 56 in
+        # all, and only 9 of them end at k, below the cap, and list a cut
         g = sk.random_digraph(30, 0.15, 32)
         k = sk.svc(g)
         flows, below = [], []
@@ -368,41 +374,40 @@ class TestWeakeningSets:
 
         monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
         sets = _weakening_sets(g, "vertex", k, None, False)
-        v = _pivot(g, k)
-        pairs = list(_pivot_pairs(g, v))
-        assert (k, g.n, len(sets)) == (2, 30, 9)
-        assert (len(g.successors(v)), len(g.predecessors(v)), len(pairs)) == (5, 5, 66)
+        pairs = _even_pairs(g, _adjacency_order(g), k + 1)
+        assert (k, g.n, len(sets), len(pairs)) == (2, 30, 9, 56)
         assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
-        assert sum(below) == 11
-        monkeypatch.undo()
-        u = _pivot(g)
-        net = VertexFlowNetwork(g)
-        listing = [any(True for _ in net.min_cuts(a, b, k)) for a, b in _pivot_pairs(g, u)]
-        assert (len(g.successors(u)), len(g.predecessors(u))) == (2, 3)
-        assert (len(listing), sum(listing)) == (59, 31)
+        assert sum(below) == 9
 
-    def test_every_pivot_lists_the_same_sets(self):
-        # every minimum vertex set is a minimum cut of some pair of every
-        # vertex v, not only of the listing pivot's: seeded cores with
-        # n 13-40 past the oracle, gamma(a, b) for b <= 4, halves joined
-        # through a k-vertex middle and unions of k arc-disjoint cycles
+    def test_every_order_lists_the_same_sets(self, monkeypatch):
+        # Even's pairs cover every minimum vertex set on any vertex order,
+        # and with k + 1 prefix vertices each minimum cut they list is one
+        # of those sets: the adjacency order and three seeded random orders
+        # on seeded cores with n 13-40 past the oracle, gamma(a, b) for
+        # b <= 4, halves joined through a k-vertex middle and unions of k
+        # arc-disjoint cycles
+        module = importlib.import_module("svckit.connectivity")
         graphs = [g for g, _ in strongly_connected_corpus(40, n_lo=13, n_hi=40,
                                                           probs=(0.12, 0.2, 0.3))]
         graphs += [sk.gamma(sk.FamilyParams(a, b)) for b in range(1, 5) for a in range(1, b + 1)]
         graphs += [_separated(n, k, seed) for k, n, seed in ((2, 14, 0), (4, 13, 3), (5, 15, 4))]
         graphs += [_disjoint_cycles(13, k, 0) for k in (2, 3, 4)]
         ks, several = [], 0
-        for g in graphs:
+        for i, g in enumerate(graphs):
             k = sk.svc(g)
             if not 2 <= k <= min(5, g.n - 2):
                 continue
             ks.append(k)
             want = [w.members for w in _weakening_sets(g, "vertex", k, None, True)]
             several += len(want) >= 2
-            net = VertexFlowNetwork(g)
-            for v in range(g.n):
-                cuts = {cut for a, b in _pivot_pairs(g, v) for cut in net.min_cuts(a, b, k)}
-                assert sorted(cuts) == want, (g, v)
+            orders = [_adjacency_order(g)] + [random.Random(10 * i + r).sample(range(g.n), g.n)
+                                              for r in range(3)]
+            for order in orders:
+                monkeypatch.setattr(module, "_adjacency_order", lambda h: order)
+                net = VertexFlowNetwork(g)
+                cuts = {cut for a, b in _prefix_pairs(net, k + 1) for cut in net.min_cuts(a, b, k)}
+                assert sorted(cuts) == want, (g, order)
+            monkeypatch.undo()
         assert set(ks) == {2, 3, 4, 5} and len(ks) >= 25 and several >= 15
 
     def test_edge_sets_match_reference_up_to_k4(self):
@@ -732,32 +737,37 @@ def _bridged(n, p, k, seed):
     return sk.DirectedGraph(n, arcs)
 
 
-def _pivot_pair_count(g, v=None):
-    # (n-1-d+) + (n-1-d-) + d+ d- pairs for v, by default for the pivot,
-    # the vertex minimising that count
-    if v is None:
-        return min(_pivot_pair_count(g, w) for w in range(g.n))
-    dout, din = len(g.successors(v)), len(g.predecessors(v))
-    return (g.n - 1 - dout) + (g.n - 1 - din) + dout * din
+def _even_pairs(g, order, p):
+    # Even's pairs on `order`, restated: each non-arc pair among the first
+    # p vertices (one way on an UndirectedGraph), then (x, v) and (v, y)
+    # for each later v, vertex n naming x and y
+    both = isinstance(g, sk.DirectedGraph)
+    pairs = []
+    for j, v in enumerate(order):
+        if j < p:
+            for u in order[:j]:
+                pairs += [(a, b) for a, b in ((u, v), (v, u))[:1 + both] if not g.has_edge(a, b)]
+        else:
+            pairs += ((g.n, v), (v, g.n))[:1 + both]
+    return pairs
 
 
-def _planted(h, pivot_in_separator):
+def _planted(h, v_in_separator):
     # bidirected cliques A = 0..h-1 and B = h..2h-1 with every arc B -> A;
     # A reaches B only through separator vertices, one of them s = 2h
     # (arcs in from all of A, out to all of B). Vertex v = 2h + 1 has in-
-    # and out-degree 3, so it is the pivot and the degree bound is 3,
-    # while sigma0 = 2. Either v is the second separator vertex (3 arcs
-    # in from A, 3 out to B), so only its neighbour pairs cross the one
-    # minimum separator {s, v}, or v hangs off B and a second separator
-    # vertex 2h + 2 like s makes {s, 2h + 2} the one minimum separator,
-    # which only the pairs (w, v) cross.
+    # and out-degree 3, so the degree bound is 3, while sigma0 = 2. Either
+    # v is the second separator vertex (3 arcs in from A, 3 out to B),
+    # making {s, v} the one minimum separator, or v hangs off B and a
+    # second separator vertex 2h + 2 like s makes {s, 2h + 2} the one
+    # minimum separator. The separator comes last in the adjacency order.
     a_side, b_side = list(range(h)), list(range(h, 2 * h))
     arcs = {(x, y) for side in (a_side, b_side) for x in side for y in side if x != y}
     arcs |= {(b, a) for a in a_side for b in b_side}
-    seps = [2 * h] if pivot_in_separator else [2 * h, 2 * h + 2]
+    seps = [2 * h] if v_in_separator else [2 * h, 2 * h + 2]
     arcs |= {(a, s) for s in seps for a in a_side} | {(s, b) for s in seps for b in b_side}
     v = 2 * h + 1
-    ins = a_side[:3] if pivot_in_separator else b_side[:3]
+    ins = a_side[:3] if v_in_separator else b_side[:3]
     arcs |= {(x, v) for x in ins} | {(v, y) for y in b_side[-3:]}
     return sk.DirectedGraph(2 * h + len(seps) + 1, arcs)
 
@@ -799,16 +809,35 @@ class TestNetworkxDifferential:
             ug.add_edges_from(und.edges)
             assert sk.undirected_vertex_connectivity(und) == nx.node_connectivity(ug), repr(g)
 
-    def test_planted_pivot(self):
-        # v = 2h + 1 alone has the fewest pivot pairs, the degree bound is
-        # 3, and sigma0 = 2 comes from the one branch of v's pairs
+    def test_planted_separators_late_in_the_order(self):
+        # the one minimum separator comes last in the adjacency order, past
+        # the prefix of the degree bound 3, so a super pair finds it: (x, v)
+        # on _planted, (v, y) on its reverse
         for side in (True, False):
-            g = _planted(20, side)
-            v = 2 * 20 + 1
-            counts = [_pivot_pair_count(g, w) for w in range(g.n)]
-            assert counts.index(min(counts)) == v and counts.count(min(counts)) == 1
-            assert min(min(len(g.successors(w)), len(g.predecessors(w))) for w in range(g.n)) == 3
-            assert sk.svc(g) == reference_svc(g) == 2
+            for g in (_planted(20, side), _reversed(_planted(20, side))):
+                sep = {40, 41} if side else {40, 42}
+                assert sep <= set(_adjacency_order(g)[-3:]) and _vertex_upper_bound(g) == 3
+                assert sk.svc(g) == reference_svc(g) == 2
+                assert [w.members for w in sk.weakening_vertex_sets(g)] == [tuple(sorted(sep))]
+
+    def test_prefix_cut_at_the_degree_bound(self):
+        # value = degree bound k0: at the first super pair, j - 1 = k0 and
+        # the prefix itself is a minimum cut of x and v_j, in both
+        # directions. It is no separator, and the scan, capped at k0, keeps
+        # k0
+        cases = [_disjoint_cycles(13, 3, 0), sk.gamma(sk.FamilyParams(3, 4)),
+                 _disjoint_cycles(14, 4, 1)]
+        for g in cases:
+            k0 = _vertex_upper_bound(g)
+            order = _adjacency_order(g)
+            net = VertexFlowNetwork(g)
+            for v in order[:k0]:
+                net.enable(v)
+            prefix = tuple(sorted(order[:k0]))
+            for a, b in ((g.n, order[k0]), (order[k0], g.n)):
+                assert net.flow(a, b).value == k0 and prefix in set(net.min_cuts(a, b, k0)), g
+            assert sk.is_strongly_connected(sk.remove_vertices(g, prefix)[0]), g
+            assert sk.svc(g) == reference_svc(g) == k0, g
 
     def test_edge_connectivity_matches_networkx(self):
         nx = pytest.importorskip("networkx")

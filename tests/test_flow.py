@@ -158,6 +158,36 @@ class TestPackedStart:
             ans = net.flow(0, 6, limit)
             assert ans.value == packed and ans.saturated == (limit == packed)
 
+    def test_super_pairs_match_an_explicit_terminal(self):
+        # vertex n names x as a source and y as a sink, joined to the
+        # enabled vertices only: the flow, its cut and every minimum cut are
+        # those of g plus a real vertex n joined to the same prefix, and the
+        # packing writes no negative capacity. Once every vertex is enabled,
+        # the ordinary pairs still match a fresh network: no path runs
+        # through x or y
+        rng = random.Random(7)
+        for g, _ in seeded_random_graphs(40, n_lo=3, n_hi=8, probs=(0.2, 0.4)):
+            net, fresh = VertexFlowNetwork(g), VertexFlowNetwork(g)
+            order = rng.sample(range(g.n), g.n)
+            for j, v in enumerate(order):
+                for a, b in ((g.n, v), (v, g.n)):
+                    arcs = {(a, u) if a == g.n else (u, b) for u in order[:j]}
+                    ref = VertexFlowNetwork(sk.DirectedGraph(g.n + 1, g.edges | arcs))
+                    for cap in (None, 1, 2):
+                        assert net.flow(a, b, cap) == ref.flow(a, b, cap), (g, order, a, b)
+                    for k in range(4):
+                        assert sorted(net.min_cuts(a, b, k)) == sorted(ref.min_cuts(a, b, k))
+                    caps = net.template[:]
+                    net._pack(caps, a, b, None)
+                    assert min(caps) >= 0
+                net.enable(v)
+            for s, t in itertools.permutations(range(g.n), 2):
+                if not g.has_edge(s, t):
+                    assert net.flow(s, t) == fresh.flow(s, t)
+                    assert list(net.min_cuts(s, t, 3)) == list(fresh.min_cuts(s, t, 3))
+        with pytest.raises(GraphInputError):
+            sk.vertex_max_flow(g, 0, g.n)
+
     def test_matches_networkx_past_oracle(self):
         # local_node_connectivity on seeded digraphs with n 15-40, at caps
         # None and 2, on a fixed sample of non-arc pairs of each graph; in

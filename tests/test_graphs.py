@@ -248,9 +248,9 @@ class TestStats:
     @staticmethod
     def _shapes():
         # (graph, diameter): cycles both ways round, a one-way path, the
-        # complete bidirected graph, two strong blocks (a 3-clique and a
-        # 4-cycle) joined by one-way arcs, in one direction or in both, and
-        # a 140-cycle plus 210 random arcs
+        # empty and one-vertex graphs, the complete bidirected graph, two
+        # strong blocks (a 3-clique and a 4-cycle) joined by one-way arcs,
+        # in one direction or in both, and a 140-cycle plus 210 random arcs
         def reverse(g):
             return sk.DirectedGraph(g.n, [(v, u) for u, v in g.edges])
 
@@ -266,7 +266,7 @@ class TestStats:
         for n in (2, 50, 300):
             out += [(sk.directed_cycle(n), n - 1), (reverse(sk.directed_cycle(n)), n - 1)]
         out.append((sk.DirectedGraph(300, [(i, i + 1) for i in range(299)]), None))
-        out.append((sk.DirectedGraph(1, []), 0))
+        out += [(sk.DirectedGraph(0, []), None), (sk.DirectedGraph(1, []), 0)]
         out += [(sk.doubled_complete(n), 1) for n in (2, 3, 7, 20)]
         out.append((sk.DirectedGraph(7, blocks | {(0, 3), (2, 5)}), None))
         out.append((sk.DirectedGraph(7, blocks | {(0, 3), (5, 1)}), 5))
@@ -274,7 +274,6 @@ class TestStats:
         return out
 
     def test_diameter_of_shapes(self):
-        assert sk.stats(sk.DirectedGraph(0, [])).diameter is None
         for g, diameter in self._shapes():
             assert sk.stats(g).diameter == reference_diameter(g) == diameter, g
 
