@@ -8,8 +8,9 @@ computed from unit-capacity max-flow on one flow network per graph, with
 pruning: a running best value caps every flow and a scan stops at 1 (or
 at degree bound 2 runs the k = 1 pass below, no flow). The
 vertex case (sigma0, and zeta0 on the underlying graph read as its own
-doubled digraph) runs Even's (1975) pairs on a maximum-adjacency order:
-the non-arc pairs among v_1 .. v_p (p >= best), then x -> v_j and
+doubled digraph) runs Even's (1975) pairs on the vertices by descending
+d+ + d- (every order is exact; the order only sets the speed): the
+non-arc pairs among v_1 .. v_p (p >= best), then x -> v_j and
 v_j -> y for j > p, x and y joined to v_1 .. v_{j-1}. A separator S with
 |S| < best misses a prefix vertex: two outside S lie in different SCCs of
 G - S, and a first pair crosses S, or all lie in one, C, and S cuts x from
@@ -34,7 +35,6 @@ fallback and each cut, and no graph is rebuilt.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -138,29 +138,16 @@ def _min_flow(net, pairs: Iterable[Tuple[int, int]], best: int,
     return best, cut
 
 
-def _adjacency_order(g: Graph) -> List[int]:
-    """Maximum-adjacency order of connected g (Nagamochi & Ibaraki 1992):
-    from the vertex of highest d+ + d-, each next one has the most arcs to
-    or from the ones before it, ties to the lowest id."""
-    score, done, order = [0] * g.n, bytearray(g.n), []
-    heap = [(0, max(range(g.n), key=lambda v: len(g.successors(v)) + len(g.predecessors(v))))]
-    while heap:
-        v = heapq.heappop(heap)[1]
-        if not done[v]:
-            done[v] = 1
-            order.append(v)
-            for w in itertools.chain(g.successors(v), g.predecessors(v)):
-                if not done[w]:
-                    score[w] -= 1
-                    heapq.heappush(heap, (score[w], w))
-    return order
+def _degree_order(g: Graph) -> List[int]:
+    """Vertices by descending d+ + d-, ties to the lowest id."""
+    return sorted(range(g.n), key=lambda v: -(len(g.successors(v)) + len(g.predecessors(v))))
 
 
 def _prefix_pairs(net: VertexFlowNetwork, p: int) -> Iterator[Tuple[int, int]]:
-    """Even's pairs on ``_adjacency_order``, vertex n naming x and y: each
+    """Even's pairs on ``_degree_order``, vertex n naming x and y: each
     non-arc pair among the first p vertices, then (n, v) and (v, n) for each
     later v, enabled after its pairs; one way on an UndirectedGraph."""
-    g, ways, order = net.g, 2 - isinstance(net.g, UndirectedGraph), _adjacency_order(net.g)
+    g, ways, order = net.g, 2 - isinstance(net.g, UndirectedGraph), _degree_order(net.g)
     for j, v in enumerate(order):
         yield from ((a, b) for u in order[:j] for a, b in ((u, v), (v, u))[:ways]
                     if not g.has_edge(a, b)) if j < p else ((g.n, v), (v, g.n))[:ways]

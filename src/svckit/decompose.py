@@ -37,13 +37,15 @@ class DecompositionNode:
     flags: List[str] = field(default_factory=list)
 
 
-def _build(
+def _node(
     g: DirectedGraph,
     vertices: Tuple[int, ...],
     depth: int,
     max_depth: int,
     enumerate_large: bool,
-) -> DecompositionNode:
+) -> Tuple[DecompositionNode, List[Tuple[int, ...]]]:
+    """The node of g's induced subgraph on ``vertices``, without children,
+    and the vertices of its children in order."""
     # vertices is ascending and induced keeps relative order, so local id
     # i of h is vertices[i] and ascending local sets map to ascending ones
     h, _ = induced(g, vertices)
@@ -59,10 +61,10 @@ def _build(
     )
     if h.m == h.n * (h.n - 1):
         node.flags.append("complete-bidirected")
-        return node
+        return node, []
     if depth >= max_depth:
         node.flags.append("depth-capped")
-        return node
+        return node, []
 
     try:
         witnesses = _weakening_sets(h, "vertex", k, None, enumerate_large)
@@ -89,9 +91,7 @@ def _build(
     # deterministic child order: by descending size then smallest orig id
     comps = [tuple(vertices[v] for v in sorted(comp)) for comp in parts if len(comp) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))
-    node.children = [_build(g, comp, depth + 1, max_depth, enumerate_large)
-                     for comp in comps]
-    return node
+    return node, comps
 
 
 def iterate(
@@ -100,7 +100,7 @@ def iterate(
     enumerate_large: bool = False,
 ) -> DecompositionNode:
     """Build the decomposition tree, removing a minimum weakening vertex
-    set at every node of depth < max_depth. Recursion also stops at
+    set at every node of depth < max_depth. Splitting also stops at
     complete bidirected components, where removal degenerates to the
     one-vertex clause. Each node records only how many minimum sets it
     has; ``weakening_vertex_sets`` on its induced subgraph lists them."""
@@ -108,7 +108,16 @@ def iterate(
         raise PreconditionError(f"max_depth must be >= 1, got {max_depth}")
     if g.n < 2 or not is_strongly_connected(g):
         raise PreconditionError("graph must be strongly connected with n >= 2")
-    return _build(g, tuple(range(g.n)), 0, max_depth, enumerate_large)
+    # depth-first from an explicit stack, not recursion, so depth is bounded
+    # by memory only: (list to append the node to, its vertices, depth)
+    roots: List[DecompositionNode] = []
+    stack = [(roots, tuple(range(g.n)), 0)]
+    while stack:
+        siblings, vertices, depth = stack.pop()
+        node, comps = _node(g, vertices, depth, max_depth, enumerate_large)
+        siblings.append(node)
+        stack += [(node.children, comp, depth + 1) for comp in reversed(comps)]
+    return roots[0]
 
 
 def _largest_chain(tree: DecompositionNode) -> List[DecompositionNode]:

@@ -11,7 +11,7 @@ from svckit.connectivity import (
     EnumerationGuardError,
     _bridges,
     _candidates,
-    _adjacency_order,
+    _degree_order,
     _degrees,
     _prefix_pairs,
     _vertex_upper_bound,
@@ -97,7 +97,7 @@ class TestSvcSec:
             assert sk.sec(g) == oracle_sec(g), f"seed={seed}"
 
     def test_pair_scan_runs_no_flow_twice(self, monkeypatch):
-        # svc and zeta0 run Even's prefix pairs on the adjacency order, each
+        # svc and zeta0 run Even's prefix pairs on the degree order, each
         # once and in order, with the degree bound's worth of prefix, until
         # the value reaches 1; zeta0 runs each unordered pair one way, since
         # MF(a, b) = MF(b, a) on the doubled digraph. Every flow is capped
@@ -118,7 +118,7 @@ class TestSvcSec:
             for h, scan in ((g, sk.svc), (sk.underlying(g), sk.undirected_vertex_connectivity)):
                 calls.clear()
                 value, bound = scan(h), _vertex_upper_bound(h)
-                want = _even_pairs(h, _adjacency_order(h), bound) if bound >= 3 else []
+                want = _even_pairs(h, _degree_order(h), bound) if bound >= 3 else []
                 pairs = [(s, t) for s, t, _, _ in calls]
                 assert pairs == want[:len(pairs)] and (value == 1 or pairs == want), h
                 once = frozenset if isinstance(h, sk.UndirectedGraph) else tuple
@@ -333,7 +333,7 @@ class TestWeakeningSets:
     def test_prefix_pair_flows_bound_the_work(self, monkeypatch):
         # gamma(3, 4): sigma0 = 3 on n = 14. Its one vertex set comes from
         # one split-network flow capped at k + 1 per prefix pair on k + 1
-        # prefix vertices (24 of them) and no dominator pass, where one pass
+        # prefix vertices (32 of them) and no dominator pass, where one pass
         # per 2-prefix took 78
         g = sk.gamma(sk.FamilyParams(3, 4))
         k = sk.svc(g)
@@ -352,14 +352,14 @@ class TestWeakeningSets:
         monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "vertex", k, None, True)
-        pairs = _even_pairs(g, _adjacency_order(g), k + 1)
-        assert (k, g.n, len(pairs), len(sets)) == (3, 14, 24, 1)
+        pairs = _even_pairs(g, _degree_order(g), k + 1)
+        assert (k, g.n, len(pairs), len(sets)) == (3, 14, 32, 1)
         assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         assert passes == []
 
     def test_listing_flows_are_capped_at_k_plus_one(self, monkeypatch):
         # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. One flow
-        # capped at k + 1 per prefix pair on k + 1 prefix vertices, 56 in
+        # capped at k + 1 per prefix pair on k + 1 prefix vertices, 57 in
         # all, and only 9 of them end at k, below the cap, and list a cut
         g = sk.random_digraph(30, 0.15, 32)
         k = sk.svc(g)
@@ -374,25 +374,25 @@ class TestWeakeningSets:
 
         monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
         sets = _weakening_sets(g, "vertex", k, None, False)
-        pairs = _even_pairs(g, _adjacency_order(g), k + 1)
-        assert (k, g.n, len(sets), len(pairs)) == (2, 30, 9, 56)
+        pairs = _even_pairs(g, _degree_order(g), k + 1)
+        assert (k, g.n, len(sets), len(pairs)) == (2, 30, 9, 57)
         assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         assert sum(below) == 9
 
     def test_every_order_lists_the_same_sets(self, monkeypatch):
         # Even's pairs cover every minimum vertex set on any vertex order,
         # and with k + 1 prefix vertices each minimum cut they list is one
-        # of those sets: the adjacency order and three seeded random orders
-        # on seeded cores with n 13-40 past the oracle, gamma(a, b) for
-        # b <= 4, halves joined through a k-vertex middle and unions of k
-        # arc-disjoint cycles
+        # of those sets, while svc and zeta0 keep their values: the degree
+        # order and three seeded random orders on seeded cores with n 13-40
+        # past the oracle, gamma(a, b) for b <= 4, halves joined through a
+        # k-vertex middle and unions of k arc-disjoint cycles
         module = importlib.import_module("svckit.connectivity")
         graphs = [g for g, _ in strongly_connected_corpus(40, n_lo=13, n_hi=40,
                                                           probs=(0.12, 0.2, 0.3))]
         graphs += [sk.gamma(sk.FamilyParams(a, b)) for b in range(1, 5) for a in range(1, b + 1)]
         graphs += [_separated(n, k, seed) for k, n, seed in ((2, 14, 0), (4, 13, 3), (5, 15, 4))]
         graphs += [_disjoint_cycles(13, k, 0) for k in (2, 3, 4)]
-        ks, several = [], 0
+        ks, several, scanned = [], 0, 0
         for i, g in enumerate(graphs):
             k = sk.svc(g)
             if not 2 <= k <= min(5, g.n - 2):
@@ -400,15 +400,19 @@ class TestWeakeningSets:
             ks.append(k)
             want = [w.members for w in _weakening_sets(g, "vertex", k, None, True)]
             several += len(want) >= 2
-            orders = [_adjacency_order(g)] + [random.Random(10 * i + r).sample(range(g.n), g.n)
-                                              for r in range(3)]
+            und = sk.underlying(g)
+            zeta0 = sk.undirected_vertex_connectivity(und)
+            scanned += _vertex_upper_bound(g) >= 3 and _vertex_upper_bound(und) >= 3
+            orders = [_degree_order(g)] + [random.Random(10 * i + r).sample(range(g.n), g.n)
+                                           for r in range(3)]
             for order in orders:
-                monkeypatch.setattr(module, "_adjacency_order", lambda h: order)
+                monkeypatch.setattr(module, "_degree_order", lambda h: order)
                 net = VertexFlowNetwork(g)
                 cuts = {cut for a, b in _prefix_pairs(net, k + 1) for cut in net.min_cuts(a, b, k)}
                 assert sorted(cuts) == want, (g, order)
+                assert (sk.svc(g), sk.undirected_vertex_connectivity(und)) == (k, zeta0), (g, order)
             monkeypatch.undo()
-        assert set(ks) == {2, 3, 4, 5} and len(ks) >= 25 and several >= 15
+        assert set(ks) == {2, 3, 4, 5} and len(ks) >= 25 and several >= 15 and scanned >= 15
 
     def test_edge_sets_match_reference_up_to_k4(self):
         # n >= 13, past the oracle: unions of k random Hamiltonian cycles
@@ -760,7 +764,9 @@ def _planted(h, v_in_separator):
     # v is the second separator vertex (3 arcs in from A, 3 out to B),
     # making {s, v} the one minimum separator, or v hangs off B and a
     # second separator vertex 2h + 2 like s makes {s, 2h + 2} the one
-    # minimum separator. The separator comes last in the adjacency order.
+    # minimum separator. v and the separator have the lowest degrees (6 and
+    # 2h, where every clique vertex has more than 3h - 2), so they come
+    # last in the degree order.
     a_side, b_side = list(range(h)), list(range(h, 2 * h))
     arcs = {(x, y) for side in (a_side, b_side) for x in side for y in side if x != y}
     arcs |= {(b, a) for a in a_side for b in b_side}
@@ -772,6 +778,24 @@ def _planted(h, v_in_separator):
     return sk.DirectedGraph(2 * h + len(seps) + 1, arcs)
 
 
+def _hub_planted(h):
+    # bidirected cliques A = 0..h-1 and B = h..2h-1 with every arc B -> A;
+    # A reaches B only through the hubs s = 2h and t = 2h + 1, each joined
+    # both ways to all of A and all of B. Vertex w = 2h + 2 has 3 arcs in
+    # from B and 3 out to B, so the degree bound is 3, while sigma0 = 2
+    # with {s, t} the one minimum separator. The hubs have degree 4h + 2,
+    # above every clique vertex's 3h + 2 or 3h + 3, so they are the first
+    # two vertices of the degree order, inside the step-1 prefix.
+    a_side, b_side = list(range(h)), list(range(h, 2 * h))
+    arcs = {(x, y) for side in (a_side, b_side) for x in side for y in side if x != y}
+    arcs |= {(b, a) for a in a_side for b in b_side}
+    hubs, w = (2 * h, 2 * h + 1), 2 * h + 2
+    arcs |= {e for s in hubs for v in a_side + b_side for e in ((s, v), (v, s))}
+    arcs |= {(hubs[0], hubs[1]), (hubs[1], hubs[0])}
+    arcs |= {(x, w) for x in b_side[:3]} | {(w, y) for y in b_side[-3:]}
+    return sk.DirectedGraph(2 * h + 3, arcs)
+
+
 def _reversed(g):
     return sk.DirectedGraph(g.n, [(v, u) for u, v in g.edges])
 
@@ -779,6 +803,7 @@ def _reversed(g):
 @functools.lru_cache(maxsize=None)
 def _past_oracle_graphs():
     planted = [_planted(h, side) for h in (20, 40) for side in (True, False)]
+    planted += [_hub_planted(h) for h in (20, 30)]
     return [
         _first_strong(40, 0.15),
         _first_strong(100, 0.06),
@@ -810,26 +835,38 @@ class TestNetworkxDifferential:
             assert sk.undirected_vertex_connectivity(und) == nx.node_connectivity(ug), repr(g)
 
     def test_planted_separators_late_in_the_order(self):
-        # the one minimum separator comes last in the adjacency order, past
+        # the one minimum separator comes last in the degree order, past
         # the prefix of the degree bound 3, so a super pair finds it: (x, v)
         # on _planted, (v, y) on its reverse
         for side in (True, False):
             for g in (_planted(20, side), _reversed(_planted(20, side))):
                 sep = {40, 41} if side else {40, 42}
-                assert sep <= set(_adjacency_order(g)[-3:]) and _vertex_upper_bound(g) == 3
+                assert sep <= set(_degree_order(g)[-3:]) and _vertex_upper_bound(g) == 3
                 assert sk.svc(g) == reference_svc(g) == 2
                 assert [w.members for w in sk.weakening_vertex_sets(g)] == [tuple(sorted(sep))]
+
+    def test_planted_separator_first_in_the_order(self):
+        # the mirror case: the one minimum separator is the two highest-
+        # degree vertices, the first of the degree order, so the step-1
+        # prefix holds it and a super pair finds it: (v, y) on _hub_planted,
+        # whose third prefix vertex lies in B, and (x, v) on its reverse
+        # (zeta0 of these graphs is checked against networkx above)
+        for g in (_hub_planted(20), _reversed(_hub_planted(20))):
+            sep = (40, 41)
+            assert set(_degree_order(g)[:2]) == set(sep) and _vertex_upper_bound(g) == 3
+            assert sk.svc(g) == reference_svc(g) == 2
+            assert [w.members for w in sk.weakening_vertex_sets(g)] == [sep]
 
     def test_prefix_cut_at_the_degree_bound(self):
         # value = degree bound k0: at the first super pair, j - 1 = k0 and
         # the prefix itself is a minimum cut of x and v_j, in both
         # directions. It is no separator, and the scan, capped at k0, keeps
         # k0
-        cases = [_disjoint_cycles(13, 3, 0), sk.gamma(sk.FamilyParams(3, 4)),
+        cases = [_disjoint_cycles(13, 3, 0), _disjoint_cycles(15, 3, 3),
                  _disjoint_cycles(14, 4, 1)]
         for g in cases:
             k0 = _vertex_upper_bound(g)
-            order = _adjacency_order(g)
+            order = _degree_order(g)
             net = VertexFlowNetwork(g)
             for v in order[:k0]:
                 net.enable(v)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import svckit as sk
@@ -141,3 +143,27 @@ def test_guarded_witness_frozen():
     deep = tree.children[0].children[0]
     assert deep.depth == 2 and "witnesses-not-enumerated" in deep.flags
     assert deep.chosen_set == sk.WeakeningSet("vertex", (4, 6, 14), (5, 1))
+
+
+def _frames():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_tree_needs_no_recursion():
+    # a bidirected path on 120 vertices loses its second vertex at every
+    # level, so its tree has 60 levels. Built under a recursion limit 40
+    # frames above this test's depth, it equals the tree built at the
+    # normal limit (compared after the limit is restored, as == recurses)
+    g = sk.doubled(sk.UndirectedGraph(120, [(i, i + 1) for i in range(119)]))
+    want = sk.iterate(g, max_depth=100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 40)
+    try:
+        tree = sk.iterate(g, max_depth=100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sk.sigma_trace(want)) == 60 and "complete-bidirected" in _collect(want, [])[-1].flags
+    assert tree == want
