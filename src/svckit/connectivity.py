@@ -23,6 +23,8 @@ Minimum vertex and edge sets at k = 1 come from one dominator pass: the
 strong articulation points of G are the non-trivial dominators of G and
 of its reverse from one root, and the strong bridges, O(m) over n nodes,
 are the bridges of those flow graphs (Italiano, Laura & Santaroni 2012).
+The two trees are computed once per graph, so the degree-bound-2 scans
+and the listing share them, and an undirected graph needs one tree.
 A set is sized from the subtrees it cuts off: G - c is the root's SCC
 plus the SCCs among them (Georgiadis, Italiano & Parotsidis 2017). Sets
 at k = sigma >= 2 are the minimum cuts of the pairs that reach sigma
@@ -214,15 +216,15 @@ def _weakening_sets(
     unless ``allow_large``.
 
     At k = 1 the sets are the ``_candidates`` (vertices) or ``_bridges``
-    (edges) of one dominator pass over g. At k >= 2 they are the minimum
-    cuts of the pairs that reach sigma (``_prefix_pairs`` with k + 1
-    prefix vertices, so that no cut holds the whole prefix, or the cyclic
-    pairs for edges) from ``min_cuts``, de-duplicated and sorted, or every
-    (n-1)-subset of the complete bidirected graph. Each set is sized by one
-    Kosaraju pass over the vertex lists masked to its ``away`` (every live
-    vertex if None: root candidate, fallback, cuts at k >= 2), the root's
-    SCC being the rest; an edge set's arcs are left out of copies of the
-    lists they touch.
+    (edges) of g's dominator trees, computed once per graph. At k >= 2
+    they are the minimum cuts of the pairs that reach sigma
+    (``_prefix_pairs`` with k + 1 prefix vertices, so that no cut holds
+    the whole prefix, or the cyclic pairs for edges) from ``min_cuts``,
+    de-duplicated and sorted, or every (n-1)-subset of the complete
+    bidirected graph. Each set is sized by one Kosaraju pass over the
+    vertex lists masked to its ``away`` (every live vertex if None: root
+    candidate, fallback, cuts at k >= 2), the root's SCC being the rest;
+    an edge set's arcs are left out of copies of the lists they touch.
     """
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
@@ -233,7 +235,7 @@ def _weakening_sets(
     pred = [g.predecessors(v) for v in range(g.n)]
     if k == 1:
         sets = (((c,), away) for c, away in
-                (_candidates if kind == "vertex" else _bridges)(succ, pred))
+                (_candidates if kind == "vertex" else _bridges)(g))
     elif kind == "vertex" and k == g.n - 1:
         sets = ((w, None) for w in itertools.combinations(range(g.n), k))
     else:

@@ -200,13 +200,16 @@ class VertexFlowNetwork(_Network):
             for v in g.successors(u):
                 self._add_arc(2 * u + 1, 2 * v, n)
         self.xy = len(self.to)  # arc xy + 4v is x -> v_in, xy + 4v + 2 is v_out -> y
-        for v in range(n):
-            self._add_arc(2 * n + 1, 2 * v, 0)
-            self._add_arc(2 * v + 1, 2 * n, 0)
 
     def enable(self, v: int) -> None:
-        """Open v's arcs from x and to y, capacity n, for the flows to come."""
-        self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = self.g.n
+        """Open v's arcs from x and to y, capacity n, for the flows to come.
+        The first call adds every vertex's, closed."""
+        n = self.g.n
+        if len(self.to) == self.xy:
+            for w in range(n):
+                self._add_arc(2 * n + 1, 2 * w, 0)
+                self._add_arc(2 * w + 1, 2 * n, 0)
+        self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = n
 
     def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
         """From s_out to t_in, after ``_pack``; vertex n names x as a source
@@ -227,6 +230,8 @@ class VertexFlowNetwork(_Network):
         free while its internal arc 2w has capacity left, and is reached by
         graph arcs only; from x, backwards from t (r = 1), in O(deg^2)."""
         n, head, to, xy, r = self.g.n, self.head, self.to, self.xy, int(s == self.g.n)
+        if n in (s, t) and len(cap) == xy:
+            return 0  # nothing enabled yet: x and y have no arcs
         # far(a): the arc a_out -> t_in, or a's arc from x or to y if a is in the prefix
         far = ({to[e] >> 1: e ^ 1 for e in head[2 * t] if e & 1}.get if n not in (s, t)
                else lambda a, e=xy + 2 * (t == n): e + 4 * a if cap[e + 4 * a] else None)

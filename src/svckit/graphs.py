@@ -3,9 +3,11 @@
 that the rest of the toolkit builds on.
 
 Graphs are simple (no self-loops, no parallel edges) and immutable after
-construction. An ``UndirectedGraph`` reads as its own doubled digraph: its
-sorted neighbour lists are both the successor and the predecessor lists of
-the copy ``doubled`` builds, so the directed scans run on it without one.
+construction, so what is derived from one can be kept on it: the slot
+``_doms`` holds its dominator trees once ``scc._dominator_trees`` asks.
+An ``UndirectedGraph`` reads as its own doubled digraph: its sorted
+neighbour lists are both the successor and the predecessor lists of the
+copy ``doubled`` builds, so the directed scans run on it without one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class DirectedGraph:
     ``vertex_labels`` keeps external names for human-readable reports.
     """
 
-    __slots__ = ("n", "edges", "vertex_labels", "_succ", "_pred")
+    __slots__ = ("n", "edges", "vertex_labels", "_succ", "_pred", "_doms")
 
     def __init__(
         self,
@@ -121,7 +123,7 @@ class UndirectedGraph:
     ``successors``, ``predecessors`` and ``has_edge`` read it as its
     doubled digraph, with the same sorted lists as ``doubled`` gives."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_doms")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         edgeset = {(min(u, v), max(u, v)) for u, v in _checked_edges(n, edges)}

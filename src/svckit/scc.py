@@ -7,7 +7,10 @@ order of successors, so output is deterministic for a given graph.
 Components come out in reverse topological order of the condensation,
 the order in which Tarjan's algorithm would emit them. The pass runs over
 adjacency lists with a dead-node mask, so the SCCs of a graph minus some
-nodes come without rebuilding the graph.
+nodes come without rebuilding the graph. The dominator trees of a graph
+and of its reverse are computed once per graph and kept on it; an
+undirected graph, read as its doubled digraph, is its own reverse and
+needs one tree.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, Graph, UndirectedGraph
 
 
 @dataclass(frozen=True)
@@ -125,40 +128,54 @@ def _tree(idom: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
     return order, pos, [p - s + 1 for p, s in zip(pos, size)]
 
 
-def _candidates(
-    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
-) -> Iterator[Tuple[int, Optional[set]]]:
+def _dominator_trees(g: Graph) -> Optional[Tuple[Tuple, Tuple]]:
+    """(idom, ``_tree(idom)``) for the dominator trees of g and of its
+    reverse from node 0, or None if some node is unreachable. Computed
+    once per graph and kept on it, since graphs are immutable; an
+    UndirectedGraph is its own reverse and gets one tree twice."""
+    if not hasattr(g, "_doms"):
+        succ = [g.successors(v) for v in range(g.n)]
+        pred = [g.predecessors(v) for v in range(g.n)]
+        trees = []
+        for out, into in ((succ, pred), (pred, succ))[:2 - isinstance(g, UndirectedGraph)]:
+            idom = _dominators(out, into)
+            if idom is None:
+                g._doms = None
+                break
+            trees.append((idom, _tree(idom)))
+        else:
+            g._doms = trees[0], trees[-1]
+    return g._doms
+
+
+def _candidates(g: Graph) -> Iterator[Tuple[int, Optional[set]]]:
     """(c, away) for ascending nodes c that include every node whose
-    removal leaves the graph H not strongly connected or with one node:
-    node 0, the root, then the non-trivial dominators of H and of its
-    reverse from the root (Italiano, Laura & Santaroni 2012); or every
-    node when H has fewer than 3 nodes or is not strongly connected. A
-    dominator's ``away`` is its proper descendants in both trees, the
-    nodes H - c cuts off from the root; the others' is None."""
-    fwd = _dominators(succ, pred) if len(succ) >= 3 else None
-    rev = None if fwd is None else _dominators(pred, succ)
-    if rev is None:
-        yield from ((c, None) for c in range(len(succ)))
+    removal leaves g not strongly connected or with one node: node 0, the
+    root, then the non-trivial dominators of g and of its reverse from the
+    root (Italiano, Laura & Santaroni 2012); or every node when g has
+    fewer than 3 nodes or is not strongly connected. A dominator's
+    ``away`` is its proper descendants in both trees, the nodes g - c cuts
+    off from the root; the others' is None."""
+    trees = _dominator_trees(g) if g.n >= 3 else None
+    if trees is None:
+        yield from ((c, None) for c in range(g.n))
         return
     yield 0, None
-    trees = [_tree(fwd), _tree(rev)]
-    for c in sorted({*fwd, *rev} - {0}):
-        yield c, {v for order, pos, lo in trees for v in order[lo[c]:pos[c]]}
+    for c in sorted({*trees[0][0], *trees[1][0]} - {0}):
+        yield c, {v for _, (order, pos, lo) in trees for v in order[lo[c]:pos[c]]}
 
 
-def _bridges(
-    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]
-) -> Iterator[Tuple[Tuple[int, int], set]]:
-    """(arc, away) for the strong bridges of the strongly connected H, in
-    sorted order: the bridges of the flow graphs of H and its reverse from
+def _bridges(g: Graph) -> Iterator[Tuple[Tuple[int, int], set]]:
+    """(arc, away) for the strong bridges of the strongly connected g, in
+    sorted order: the bridges of the flow graphs of g and its reverse from
     node 0 (Italiano, Laura & Santaroni 2012). A root path enters v first
     from a node v does not dominate, each reachable without v, so if u is
     the only one, (u, v) cuts off v's subtree; ``away`` joins both trees'."""
     found = {}
-    for flip, (out, into) in enumerate(((succ, pred), (pred, succ))):
-        order, pos, lo = _tree(_dominators(out, into))
-        for v in range(1, len(out)):
-            outside = [u for u in into[v] if not lo[v] <= pos[u] <= pos[v]]
+    for flip, (_, (order, pos, lo)) in enumerate(_dominator_trees(g)):
+        into = g.successors if flip else g.predecessors
+        for v in range(1, g.n):
+            outside = [u for u in into(v) if not lo[v] <= pos[u] <= pos[v]]
             if len(outside) == 1:
                 arc = (v, outside[0]) if flip else (outside[0], v)
                 found.setdefault(arc, set()).update(order[lo[v]:pos[v] + 1])

@@ -26,6 +26,7 @@ from svckit.oracle import (
     oracle_weakening_sets,
     oracle_zeta0,
 )
+from svckit.scc import _dominator_trees
 
 from helpers import (
     reaches,
@@ -188,11 +189,11 @@ class TestWeakeningSets:
         # not strongly connected take the fallback
         tiny = broken = cut_off = 0
         for g, seed in seeded_random_graphs(120, n_hi=12):
-            succ, pred = _vertex_lists(g)
+            succ = [g.successors(v) for v in range(g.n)]
             dead = bytearray(g.n)
             tiny += g.n == 2
             broken += g.n >= 3 and len(reference_components(succ, dead)) > 1
-            pairs = list(_candidates(succ, pred))
+            pairs = list(_candidates(g))
             got, away_of = [c for c, _ in pairs], dict(pairs)
             assert got == sorted(set(got)), seed
             for c in range(g.n):
@@ -222,7 +223,7 @@ class TestWeakeningSets:
                    for n, extra, seed in ((60, 6, 0), (100, 50, 1), (200, 20, 3))]
         listed = both = 0
         for g in graphs:
-            got = list(_bridges(*_vertex_lists(g)))
+            got = list(_bridges(g))
             want = []
             for e in g.sorted_edges():
                 comps = sk.scc(h := sk.remove_edges(g, [e])).components
@@ -234,6 +235,41 @@ class TestWeakeningSets:
             assert got == want, g
             listed += len(got)
         assert listed >= 500 and both >= 200
+
+    def test_one_tree_serves_the_underlying_graph(self):
+        # U(g), read as its doubled digraph, is its own reverse, and one
+        # dominator tree serves as both. Against removing each vertex or
+        # arc: the candidates are the root and the articulation points, each
+        # with what it cuts off, and the bridges are both arcs of each
+        # undirected bridge. The chained blocks of _bound_two have most of
+        # them; fly-shaped graphs hold a Hamiltonian cycle, so none
+        graphs = [g for g, _ in strongly_connected_corpus(150, n_lo=3, n_hi=12)]
+        graphs += [_fly_shaped(n, extra, seed)
+                   for n, extra, seed in ((60, 6, 0), (100, 50, 1), (200, 20, 3))]
+        graphs += [_bound_two(seed) for seed in range(60)] + [_two_way_bridge()]
+        points = bridges = 0
+        for u in map(sk.underlying, graphs):
+            succ, dead = [u.neighbors(v) for v in range(u.n)], bytearray(u.n)
+            cuts = {0: None}
+            for c in range(1, u.n):
+                dead[c] = 1
+                comps = reference_components(succ, dead)
+                dead[c] = 0
+                if len(comps) > 1:
+                    kept = next(comp for comp in comps if 0 in comp)
+                    cuts[c] = {v for v in range(u.n) if v != c and v not in kept}
+            assert list(_candidates(u)) == sorted(cuts.items()), u
+            arcs = []
+            for a, b in [(a, b) for a in range(u.n) for b in succ[a]]:
+                rest = succ[:]
+                rest[a] = [w for w in succ[a] if w != b]
+                comps = reference_components(rest, dead)
+                if len(comps) > 1:
+                    kept = next(comp for comp in comps if 0 in comp)
+                    arcs.append(((a, b), set(range(u.n)).difference(kept)))
+            assert list(_bridges(u)) == arcs, u
+            points, bridges = points + len(cuts) - 1, bridges + len(arcs)
+        assert points >= 70 and bridges >= 50
 
     def test_sizes_match_reference_components_past_oracle(self):
         # every k = 1 vertex and edge set of sparse fly-shaped graphs, and
@@ -265,9 +301,8 @@ class TestWeakeningSets:
         # it dominates 2-5 and 8 forward and 2-5 and 9 in reverse. Arc
         # 2 -> 3 is 2's only way out and 3's only way in
         g = _two_way_bridge()
-        succ, pred = _vertex_lists(g)
-        assert dict(_candidates(succ, pred))[1] == {2, 3, 4, 5, 8, 9}
-        assert dict(_bridges(succ, pred))[(2, 3)] == {2, 3}
+        assert dict(_candidates(g))[1] == {2, 3, 4, 5, 8, 9}
+        assert dict(_bridges(g))[(2, 3)] == {2, 3}
         vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
         sizes = {w.members: w.resulting_scc_sizes for w in vertex + edge}
         assert sizes[(1,)] == (3, 2, 2, 1, 1) and sizes[((2, 3),)] == (8, 1, 1)
@@ -647,11 +682,6 @@ def _two_way_bridge():
     return sk.DirectedGraph(10, [(0, 6), (6, 7), (7, 0), (0, 1), (1, 0), (1, 2), (2, 3),
                                  (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
                                  (1, 8), (8, 0), (0, 9), (9, 1)])
-
-
-def _vertex_lists(g):
-    return ([g.successors(v) for v in range(g.n)],
-            [g.predecessors(v) for v in range(g.n)])
 
 
 def _reference_sizes(g, kind, members):
@@ -1051,6 +1081,53 @@ class TestReport:
         rep = sk.report(g, enumerate_witnesses=True)
         assert len(unmasked) == 4
         assert len(patched) == len(rep.edge_witnesses) == 8
+
+    def test_dominator_trees_once_per_graph(self, monkeypatch):
+        # every k = 1 pass reads the graph's pair of dominator trees, built
+        # once and kept on it: g's two, and one for U(g), its own reverse.
+        # The bridged triangles (degree bound 2, all four values 1) run the
+        # pass in all four scans and both listings, 12 trees if each built
+        # its own; a fly-shaped graph (bound 1) in zeta0, zeta1 and both
+        # listings, 8
+        scc_module = importlib.import_module("svckit.scc")
+        calls = []
+        for name in ("_dominators", "_tree"):
+            def counted(*args, name=name, real=getattr(scc_module, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(scc_module, name, counted)
+        bridged = _bidirected(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        fly = _fly_shaped(100, 50, 1)
+        assert (_vertex_upper_bound(bridged), _vertex_upper_bound(fly)) == (2, 1)
+        for g, values in ((bridged, (1, 1, 1, 1)), (fly, (1, 1, 2, 2))):
+            calls.clear()
+            rep = sk.report(g, True)
+            assert (rep.sigma0, rep.sigma1, rep.zeta0_underlying, rep.zeta1_underlying) == values
+            assert min(rep.witness_counts) >= 1
+            assert (calls.count("_dominators"), calls.count("_tree")) == (3, 3), g
+        calls.clear()
+        und = sk.underlying(fly)
+        assert _vertex_upper_bound(und) == min(_degrees(und)) == 2
+        assert sk.undirected_vertex_connectivity(und) == sk.undirected_edge_connectivity(und) == 2
+        assert calls == ["_dominators", "_tree"]
+
+    def test_trees_stay_with_their_graph(self):
+        # a second report on the same object, its trees already built,
+        # equals the report on an equal graph built afresh; and a graph
+        # derived from g builds its own trees, equal to a fresh copy's
+        g = _two_way_bridge()
+        first = sk.report(g, True)
+        assert sk.report(g, True) == first == sk.report(_two_way_bridge(), True)
+        assert first.witness_counts == (7, 11)
+        derived = [sk.induced(g, range(8))[0], sk.remove_edges(g, [(2, 3)]),
+                   sk.remove_edges(g, [(4, 2)]), sk.underlying(g)]
+        for h in derived:
+            fresh = type(h)(h.n, h.edges)
+            assert _dominator_trees(h) == _dominator_trees(fresh), h
+            assert _dominator_trees(h) != _dominator_trees(g), h
+        assert _dominator_trees(derived[1]) is None  # 3 is cut off
+        rep = sk.report(derived[0], True)
+        assert rep == sk.report(sk.DirectedGraph(8, derived[0].edges), True)
 
     def test_matches_oracle(self):
         for g, seed in strongly_connected_corpus(15, n_lo=3, n_hi=7):
