@@ -2,10 +2,10 @@
 internally-vertex-disjoint paths between a vertex pair, with a minimum-cut
 certificate and an optional cap at which the search stops early.
 
-A graph's flow network is built once (``VertexFlowNetwork``,
-``EdgeFlowNetwork``) together with a template of its capacities; every
-flow starts from a fresh copy of the template, so any number of pairs can
-be run on one network. ``vertex_max_flow`` and ``edge_max_flow`` are
+A graph's flow network is built at most once (``VertexFlowNetwork``,
+``EdgeFlowNetwork``) with a template of its capacities; a flow that
+augments starts from a fresh copy of the template, so any number of pairs
+can run on one network. ``vertex_max_flow`` and ``edge_max_flow`` are
 one-shot wrappers over these networks. A network takes any graph with
 ``n``, sorted ``successors`` lists and ``has_edge``: a ``DirectedGraph``,
 or an ``UndirectedGraph`` read as its doubled digraph.
@@ -19,11 +19,13 @@ residual network. Only two things differ: which item a forward arc cuts
 Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc), so the flow counts internally disjoint
 paths, plus a super source x and sink y joined to each vertex once it is
-enabled (Even 1975). A flow starts from a greedy packing of disjoint paths
-s -> a -> t, then s -> a -> b -> t, and augments only for the rest (Even &
-Tarjan 1975). Values and cuts do not depend on the starting flow: a
-saturated flow only certifies its cap, and every maximum flow leaves the
-same set reachable from s in its residual network, where the cut is read.
+enabled (Even 1975). A flow packs disjoint paths s -> a -> t, then
+s -> a -> b -> t, from the adjacency lists, and augments only for the rest
+(Even & Tarjan 1975), on a split network built by the first flow that
+needs it; a flow the packing settles copies nothing. Values and cuts do not
+depend on the starting flow: a saturated flow only certifies its cap, and
+every maximum flow leaves the same set reachable from s in its residual
+network, where the cut is read.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ class _Network:
     """Fixed arc structure plus template capacities. Arc ``2i`` is a
     forward arc and ``2i + 1`` its residual reverse (template capacity 0);
     forward arc ``2i`` cuts ``items[i]`` when it has one. A subclass maps a
-    vertex pair to its source and sink nodes in ``_start``."""
+    vertex pair to its source and sink nodes, and packs paths up to a
+    limit, in ``_start``."""
 
     def __init__(self, size: int):
-        self.size = size
         self.head: List[List[int]] = [[] for _ in range(size)]
         self.to: List[int] = []
         self.template: List[int] = []
@@ -79,9 +81,7 @@ class _Network:
         (value, None) when the limit was reached, else (value, parent)
         where ``parent[v] != -1`` marks the vertices reachable from s in
         the final residual network."""
-        if limit is not None and limit < 0:
-            raise GraphInputError(f"cap must be non-negative, got {limit}")
-        head, to, size = self.head, self.to, self.size
+        head, to, size = self.head, self.to, len(self.head)
         while True:
             if limit is not None and flow >= limit:
                 return limit, None
@@ -111,23 +111,30 @@ class _Network:
                 v = to[eid ^ 1]
             flow += 1
 
-    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
-        """Checks the pair; (source, sink, units of flow written into ``cap``)."""
-        raise NotImplementedError
+    def _warm(self, paths: List[Tuple[int, ...]]) -> List[int]:
+        return self.template[:]  # a fresh copy: edge flows pack nothing and start cold
+
+    def _run(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, Optional[List[int]], int, List[int]]:
+        """``_max_flow`` from the paths ``_start`` packs, then the sink and
+        the final capacities; paths that reach the limit settle it alone."""
+        if limit is not None and limit < 0:
+            raise GraphInputError(f"cap must be non-negative, got {limit}")
+        src, snk, paths = self._start(s, t, limit)
+        if len(paths) == limit:
+            return limit, None, snk, []
+        cap = self._warm(paths)
+        return (*self._max_flow(cap, src, snk, limit, len(paths)), snk, cap)
 
     def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
         """Maximum number of disjoint s->t paths, with the items cut by the
         forward arcs that leave what s reaches in the final residual
         network: all saturated, by max-flow/min-cut."""
-        caps = self.template[:]
-        src, snk, packed = self._start(caps, s, t, cap)
-        value, parent = self._max_flow(caps, src, snk, cap, packed)
-        if parent is None:
-            return FlowAnswer(value=value, cut=(), saturated=True)
+        value, parent = self._run(s, t, cap)[:2]
         to = self.to
-        cut = tuple(item for i, item in enumerate(self.items)
-                    if parent[to[2 * i + 1]] != -1 and parent[to[2 * i]] == -1)
-        return FlowAnswer(value=value, cut=cut, saturated=False)
+        cut = () if parent is None else tuple(
+            item for i, item in enumerate(self.items)
+            if parent[to[2 * i + 1]] != -1 and parent[to[2 * i]] == -1)
+        return FlowAnswer(value=value, cut=cut, saturated=parent is None)
 
     def min_cuts(self, s: int, t: int, k: int) -> Iterator[Tuple]:
         """Every minimum s->t cut as the items of delta+(T), in arc order,
@@ -146,9 +153,7 @@ class _Network:
         (Provan & Shier 1996). T starts as what the flow's last search
         reached. The stack is explicit, since its depth reaches the node
         count."""
-        cap = self.template[:]
-        src, snk, packed = self._start(cap, s, t, k + 1)
-        parent = self._max_flow(cap, src, snk, k + 1, packed)[1]
+        _, parent, snk, cap = self._run(s, t, k + 1)
         if parent is None:
             return
         head, to, items, template = self.head, self.to, self.items, self.template
@@ -187,31 +192,37 @@ class VertexFlowNetwork(_Network):
     """Split network of ``g``: vertex w becomes 2w (in) and 2w+1 (out),
     joined by arc ``2w`` of capacity 1; each edge (u, v) becomes
     2u+1 -> 2v with capacity n, which keeps every minimum cut on the
-    internal arcs. Edges are added in sorted order, from each vertex's
-    sorted successors."""
+    internal arcs. The first flow left short by its packing adds them, the
+    edges in sorted order, from each vertex's sorted successors."""
 
     def __init__(self, g: Graph):
-        super().__init__(2 * g.n + 2)
-        self.g, self.items = g, range(g.n)
-        n = g.n
+        self.g, self.items, self.on, self.to = g, range(g.n), bytearray(g.n), []
+
+    def _build(self) -> None:
+        g, n = self.g, self.g.n
+        super().__init__(2 * n + 2)
         for w in range(n):
             self._add_arc(2 * w, 2 * w + 1, 1)
         for u in range(n):
             for v in g.successors(u):
                 self._add_arc(2 * u + 1, 2 * v, n)
         self.xy = len(self.to)  # arc xy + 4v is x -> v_in, xy + 4v + 2 is v_out -> y
+        for v in range(n):
+            if self.on[v]:
+                self.enable(v)
 
     def enable(self, v: int) -> None:
-        """Open v's arcs from x and to y, capacity n, for the flows to come.
-        The first call adds every vertex's, closed."""
-        n = self.g.n
-        if len(self.to) == self.xy:
+        """Open v's arcs from x and to y, capacity n, for the flows to come."""
+        self.on[v], n = 1, self.g.n
+        if not self.to:
+            return
+        if len(self.to) == self.xy:  # first call since the build: every vertex's, closed
             for w in range(n):
                 self._add_arc(2 * n + 1, 2 * w, 0)
                 self._add_arc(2 * w + 1, 2 * n, 0)
         self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = n
 
-    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
+    def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
         """From s_out to t_in, after ``_pack``; vertex n names x as a source
         and y as a sink. Requires that the edge (s, t) is absent; with a
         direct edge no separating vertex cut exists and the quantity is
@@ -222,38 +233,42 @@ class VertexFlowNetwork(_Network):
             raise GraphInputError(
                 f"edge ({s}, {t}) present: no separating vertex cut exists"
             )
-        return 2 * s + 1, 2 * t, self._pack(cap, s, t, limit)
+        return 2 * s + 1, 2 * t, self._pack(s, t, limit)
 
-    def _pack(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> int:
-        """Write vertex-disjoint paths s -> a -> t, then s -> a -> b -> t,
-        into ``cap`` until ``limit``; returns how many. A middle vertex w is
-        free while its internal arc 2w has capacity left, and is reached by
-        graph arcs only; from x, backwards from t (r = 1), in O(deg^2)."""
-        n, head, to, xy, r = self.g.n, self.head, self.to, self.xy, int(s == self.g.n)
-        if n in (s, t) and len(cap) == xy:
-            return 0  # nothing enabled yet: x and y have no arcs
-        # far(a): the arc a_out -> t_in, or a's arc from x or to y if a is in the prefix
-        far = ({to[e] >> 1: e ^ 1 for e in head[2 * t] if e & 1}.get if n not in (s, t)
-               else lambda a, e=xy + 2 * (t == n): e + 4 * a if cap[e + 4 * a] else None)
-        near = [(e ^ r, to[e] >> 1) for e in head[2 * t if r else 2 * s + 1]
-                if e & 1 == r and e < xy]  # s_out -> a_in, or a_out -> t_in
+    def _pack(self, s: int, t: int, limit: Optional[int]) -> List[Tuple[int, ...]]:
+        """Vertex-disjoint paths s -> a -> t, then s -> a -> b -> t, up to
+        ``limit``, as vertex tuples, from g's adjacency lists in O(deg^2); from
+        x, backwards from t. A free middle vertex ends a path next to t if it
+        is a predecessor of t (next to x or y: if it is enabled)."""
+        g, n = self.g, self.g.n
+        step = g.predecessors if s == n else g.successors
+        ends = self.on if n in (s, t) else bytearray(n)
+        for a in () if n in (s, t) else g.predecessors(t):
+            ends[a] = 1
+        near, used = step(t if s == n else s), bytearray(n)
+        paths = [(s, a, t) for a in near if ends[a]][:limit]
+        for p in paths:
+            used[p[1]] = 1
+        for a in near:
+            if len(paths) == limit:
+                break
+            for b in () if used[a] else step(a):
+                if ends[b] and not used[b]:
+                    paths.append((s, b, a, t) if s == n else (s, a, b, t))
+                    used[a] = used[b] = 1
+                    break
+        return paths
 
-        def paths() -> Iterator[Tuple[int, ...]]:
-            yield from ((e, 2 * a, far(a)) for e, a in near if far(a) is not None)
-            for e, a in near:
-                for f in head[2 * a + 1 - r] if cap[2 * a] else ():
-                    if f & 1 == r and f < xy and cap[2 * (b := to[f] >> 1)] and far(b) is not None:
-                        yield e, 2 * a, f ^ r, 2 * b, far(b)
-                        break  # a is no longer free
-        flow = 0
-        for arcs in paths() if limit != 0 else ():
-            for e in arcs:
+    def _warm(self, paths: List[Tuple[int, ...]]) -> List[int]:
+        if not self.to:
+            self._build()
+        cap, head, to = self.template[:], self.head, self.to
+        for p in paths:  # the arcs u_out -> v_in along p (x -> v_in, u_out -> y), then the middles'
+            arcs = [e for u, v in zip(p, p[1:]) for e in head[2 * u + 1] if to[e] == 2 * v]
+            for e in arcs + [2 * w for w in p[1:-1]]:
                 cap[e] -= 1
                 cap[e ^ 1] += 1
-            flow += 1
-            if flow == limit:
-                break
-        return flow
+        return cap
 
 
 class EdgeFlowNetwork(_Network):
@@ -267,9 +282,9 @@ class EdgeFlowNetwork(_Network):
         for u, v in self.items:
             self._add_arc(u, v, 1)
 
-    def _start(self, cap: List[int], s: int, t: int, limit: Optional[int]) -> Tuple[int, int, int]:
+    def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
         _check_pair(self.g.n, s, t)
-        return s, t, 0
+        return s, t, []
 
 
 def edge_max_flow(

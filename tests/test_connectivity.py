@@ -132,6 +132,28 @@ class TestSvcSec:
                 runs += len(calls) > 0
         assert runs >= 20  # most scans ran flows at all
 
+    def test_scans_the_packing_settles_build_no_arcs(self, monkeypatch):
+        # random_digraph(40, 0.3, 3): svc = 7 and zeta0 = 15. The packing
+        # settles each of their 87 and 55 prefix-pair flows at its cap, so
+        # no split network is built and no augmenting search runs
+        g = sk.random_digraph(40, 0.3, 3)
+        built, flows = [], []
+        build, flow = VertexFlowNetwork._build, VertexFlowNetwork.flow
+
+        def counted_build(net):
+            built.append(net.g)
+            build(net)
+
+        def counted_flow(net, s, t, cap=None):
+            flows.append(flow(net, s, t, cap=cap))
+            return flows[-1]
+
+        monkeypatch.setattr(VertexFlowNetwork, "_build", counted_build)
+        monkeypatch.setattr(VertexFlowNetwork, "flow", counted_flow)
+        assert sk.svc(g) == 7 and len(flows) == 87
+        assert sk.undirected_vertex_connectivity(sk.underlying(g)) == 15 and len(flows) == 87 + 55
+        assert all(ans.saturated for ans in flows) and built == []
+
 
 class TestWeakeningSets:
     def test_cycle_every_vertex(self):
@@ -369,50 +391,44 @@ class TestWeakeningSets:
         # gamma(3, 4): sigma0 = 3 on n = 14. Its one vertex set comes from
         # one split-network flow capped at k + 1 per prefix pair on k + 1
         # prefix vertices (32 of them) and no dominator pass, where one pass
-        # per 2-prefix took 78
+        # per 2-prefix took 78. The augmenting search runs for exactly the
+        # 10 pairs whose packing falls short of the cap
         g = sk.gamma(sk.FamilyParams(3, 4))
         k = sk.svc(g)
         module = importlib.import_module("svckit.connectivity")
-        flows, passes = [], []
-        max_flow = VertexFlowNetwork._max_flow
-
-        def counted_flow(net, cap, s, t, limit, flow=0):
-            flows.append((s, t, limit))
-            return max_flow(net, cap, s, t, limit, flow)
+        passes = []
 
         def counted_candidates(*args):
             passes.append(args)
             return _candidates(*args)
 
-        monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+        calls = _count_vertex_flows(monkeypatch)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "vertex", k, None, True)
         pairs = _even_pairs(g, _degree_order(g), k + 1)
         assert (k, g.n, len(pairs), len(sets)) == (3, 14, 32, 1)
-        assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
+        assert calls["min_cuts"] == [(a, b, k) for a, b in pairs]
+        assert [c[:3] for c in calls["pack"]] == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
+        short = [c for c in calls["pack"] if c[3] < k + 1]
+        assert [c[:4] for c in calls["max_flow"]] == short and len(short) == 10
         assert passes == []
 
     def test_listing_flows_are_capped_at_k_plus_one(self, monkeypatch):
         # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. One flow
         # capped at k + 1 per prefix pair on k + 1 prefix vertices, 57 in
-        # all, and only 9 of them end at k, below the cap, and list a cut
+        # all; the packing leaves 15 of them short, and only 9 of those end
+        # at k, below the cap, and list a cut
         g = sk.random_digraph(30, 0.15, 32)
         k = sk.svc(g)
-        flows, below = [], []
-        max_flow = VertexFlowNetwork._max_flow
-
-        def counted_flow(net, cap, s, t, limit, flow=0):
-            value, parent = max_flow(net, cap, s, t, limit, flow)
-            flows.append((s, t, limit))
-            below.append(parent is not None)
-            return value, parent
-
-        monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+        calls = _count_vertex_flows(monkeypatch)
         sets = _weakening_sets(g, "vertex", k, None, False)
         pairs = _even_pairs(g, _degree_order(g), k + 1)
         assert (k, g.n, len(sets), len(pairs)) == (2, 30, 9, 57)
-        assert flows == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
-        assert sum(below) == 9
+        assert calls["min_cuts"] == [(a, b, k) for a, b in pairs]
+        assert [c[:3] for c in calls["pack"]] == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
+        short = [c for c in calls["pack"] if c[3] < k + 1]
+        assert [c[:4] for c in calls["max_flow"]] == short and len(short) == 15
+        assert sum(c[4] for c in calls["max_flow"]) == 9
 
     def test_every_order_lists_the_same_sets(self, monkeypatch):
         # Even's pairs cover every minimum vertex set on any vertex order,
@@ -769,6 +785,34 @@ def _bridged(n, p, k, seed):
             crossing.add((rng.randrange(*lo), rng.randrange(*hi)))
         arcs |= crossing
     return sk.DirectedGraph(n, arcs)
+
+
+def _count_vertex_flows(monkeypatch):
+    # records each split-network min_cuts call as (s, t, k), each packing
+    # as (source node, sink node, limit, paths packed), and each augmenting
+    # search as (source node, sink node, limit, units packed, ended below)
+    calls = {"min_cuts": [], "pack": [], "max_flow": []}
+    min_cuts, pack = VertexFlowNetwork.min_cuts, VertexFlowNetwork._pack
+    max_flow = VertexFlowNetwork._max_flow
+
+    def counted_cuts(net, s, t, k):
+        calls["min_cuts"].append((s, t, k))
+        return min_cuts(net, s, t, k)
+
+    def counted_pack(net, s, t, limit):
+        paths = pack(net, s, t, limit)
+        calls["pack"].append((2 * s + 1, 2 * t, limit, len(paths)))
+        return paths
+
+    def counted_flow(net, cap, s, t, limit, flow=0):
+        value, parent = max_flow(net, cap, s, t, limit, flow)
+        calls["max_flow"].append((s, t, limit, flow, parent is not None))
+        return value, parent
+
+    monkeypatch.setattr(VertexFlowNetwork, "min_cuts", counted_cuts)
+    monkeypatch.setattr(VertexFlowNetwork, "_pack", counted_pack)
+    monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+    return calls
 
 
 def _even_pairs(g, order, p):

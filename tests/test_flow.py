@@ -142,29 +142,35 @@ class TestPackedStart:
         # augmenting path 0 -> 3 -> 2 <- 1 -> 4 -> 5 must cancel 1 -> 2
         g = sk.DirectedGraph(6, [(0, 1), (0, 3), (1, 2), (1, 4), (3, 2), (2, 5), (4, 5)])
         net = VertexFlowNetwork(g)
-        assert net._pack(net.template[:], 0, 5, None) == 1
+        assert net._pack(0, 5, None) == [(0, 1, 2, 5)]
         assert net.flow(0, 5) == sk.FlowAnswer(value=2, cut=(1, 3), saturated=False)
         assert net.flow(0, 5, cap=1) == sk.FlowAnswer(value=1, cut=(), saturated=True)
 
     def test_packing_stops_at_the_cap(self):
         # five paths 0 -> x -> 6: at cap c the packing saturates exactly c
-        # internal arcs, and the flow needs no augmenting path
+        # internal arcs, and the flow needs no augmenting path. A flow the
+        # packing settles at its cap builds no arc of a fresh network
         g = sk.DirectedGraph(7, [(0, x) for x in range(1, 6)] + [(x, 6) for x in range(1, 6)])
         net = VertexFlowNetwork(g)
         for limit, packed in ((0, 0), (1, 1), (3, 3), (None, 5), (9, 5)):
-            caps = net.template[:]
-            assert net._pack(caps, 0, 6, limit) == packed
+            paths = net._pack(0, 6, limit)
+            caps = net._warm(paths)
+            assert len(paths) == packed
             assert sum(caps[2 * w] == 0 for w in range(g.n)) == packed
-            ans = net.flow(0, 6, limit)
+            fresh = VertexFlowNetwork(g)
+            ans = fresh.flow(0, 6, limit)
             assert ans.value == packed and ans.saturated == (limit == packed)
+            assert (fresh.to == []) == ans.saturated
 
     def test_super_pairs_match_an_explicit_terminal(self):
         # vertex n names x as a source and y as a sink, joined to the
         # enabled vertices only: the flow, its cut and every minimum cut are
         # those of g plus a real vertex n joined to the same prefix, and the
-        # packing writes no negative capacity. Once every vertex is enabled,
-        # the ordinary pairs still match a fresh network: no path runs
-        # through x or y
+        # packing writes no negative capacity. A network whose arcs are
+        # first built after j enable calls, by the first of its flows that
+        # the packing leaves short, gives the same flows and cuts. Once
+        # every vertex is enabled, the ordinary pairs still match a fresh
+        # network: no path runs through x or y
         rng = random.Random(7)
         for g, _ in seeded_random_graphs(40, n_lo=3, n_hi=8, probs=(0.2, 0.4)):
             net, fresh = VertexFlowNetwork(g), VertexFlowNetwork(g)
@@ -173,13 +179,17 @@ class TestPackedStart:
                 for a, b in ((g.n, v), (v, g.n)):
                     arcs = {(a, u) if a == g.n else (u, b) for u in order[:j]}
                     ref = VertexFlowNetwork(sk.DirectedGraph(g.n + 1, g.edges | arcs))
-                    for cap in (None, 1, 2):
-                        assert net.flow(a, b, cap) == ref.flow(a, b, cap), (g, order, a, b)
+                    late = VertexFlowNetwork(g)
+                    for u in order[:j]:
+                        late.enable(u)
+                    for cap in (1, 2, None):
+                        want = ref.flow(a, b, cap)
+                        assert net.flow(a, b, cap) == late.flow(a, b, cap) == want, (g, order, a, b)
                     for k in range(4):
-                        assert sorted(net.min_cuts(a, b, k)) == sorted(ref.min_cuts(a, b, k))
-                    caps = net.template[:]
-                    net._pack(caps, a, b, None)
-                    assert min(caps) >= 0
+                        want = sorted(ref.min_cuts(a, b, k))
+                        assert sorted(net.min_cuts(a, b, k)) == want, (g, order, a, b, k)
+                        assert sorted(late.min_cuts(a, b, k)) == want, (g, order, a, b, k)
+                    assert min(net._warm(net._pack(a, b, None))) >= 0
                 net.enable(v)
             for s, t in itertools.permutations(range(g.n), 2):
                 if not g.has_edge(s, t):
@@ -221,7 +231,7 @@ class TestPackedStart:
                 capped = net.flow(s, t, cap=2)
                 assert capped.value == min(want, 2) and capped.saturated == (want >= 2)
                 values.add(want)
-                short += net._pack(net.template[:], s, t, None) < want
+                short += len(net._pack(s, t, None)) < want
         assert len(values) >= 10 and short >= 450
 
 
@@ -270,6 +280,15 @@ class TestMonotonicityAndCap:
         ):
             with pytest.raises(GraphInputError):
                 flow(0, 2, cap=-1)
+        # on a split network whose arcs are not built yet, before the packing
+        # can settle anything: the super pair from x packs no path before
+        # any enable, and min_cuts caps its flow at k + 1
+        net = VertexFlowNetwork(g)
+        for run in (lambda: net.flow(g.n, 2, cap=-1), lambda: net.flow(0, 2, cap=-1),
+                    lambda: list(net.min_cuts(0, 2, -2))):
+            with pytest.raises(GraphInputError):
+                run()
+        assert net.to == []
 
 
 class TestMinCuts:
@@ -399,6 +418,7 @@ class TestUndirectedNetworks:
             dd = sk.doubled(d)
             for network in (VertexFlowNetwork, EdgeFlowNetwork):
                 a, b = network(d), network(dd)
+                assert a._warm([]) == b._warm([]), seed  # builds a split network
                 assert (a.head, a.to, a.template) == (b.head, b.to, b.template), seed
             vnet, enet = VertexFlowNetwork(d), EdgeFlowNetwork(d)
             for s in range(d.n):
