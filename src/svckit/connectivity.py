@@ -33,6 +33,10 @@ pair's residual network by the lister both flow networks share (Picard &
 Queyranne 1980): one flow capped at k + 1 per pair plus O(m) per cut. A
 full Kosaraju pass over the vertex lists sizes the root candidate, the
 fallback and each cut, and no graph is rebuilt.
+
+The public functions check strong connectivity; the cores ``_svc`` and
+``_sec`` do not, for inputs strongly connected by construction: g and U(g)
+in ``report`` once ``stats`` found a diameter, and decomposition nodes.
 """
 
 from __future__ import annotations
@@ -186,12 +190,22 @@ def _scan(g: Graph, kind: str, best: int) -> int:
     return _min_flow(*_network(g, kind, best), best, 1)[0]
 
 
+def _svc(g: Graph) -> int:
+    """sigma0 of g, taken as strongly connected with n >= 2, unchecked."""
+    return _scan(g, "vertex", _vertex_upper_bound(g))
+
+
+def _sec(g: Graph) -> int:
+    """sigma1 of g, taken as strongly connected with n >= 2, unchecked."""
+    return _scan(g, "edge", min(_degrees(g)))
+
+
 def svc(g: DirectedGraph) -> int:
     """sigma0: strong vertex connectivity. n-1 for the complete
     bidirected graph (one-vertex clause of the definition). The minimum
     flow over ``_prefix_pairs``, from the degree bound (``_scan``)."""
     _require_strong(g)
-    return _scan(g, "vertex", _vertex_upper_bound(g))
+    return _svc(g)
 
 
 def sec(g: Graph) -> int:
@@ -199,7 +213,7 @@ def sec(g: Graph) -> int:
     cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0 (``_scan``).
     An UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
-    return _scan(g, "edge", min(_degrees(g)))
+    return _sec(g)
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -312,7 +326,7 @@ def undirected_vertex_connectivity(d: UndirectedGraph) -> int:
     MF(b, a): each prefix pair runs one way (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return _scan(d, "vertex", _vertex_upper_bound(d))
+    return _svc(d)
 
 
 def undirected_edge_connectivity(d: UndirectedGraph) -> int:
@@ -321,7 +335,7 @@ def undirected_edge_connectivity(d: UndirectedGraph) -> int:
     edges crossing a bipartition (``_scan``). Disconnected -> 0."""
     if d.n < 2 or not d.is_connected():
         return 0
-    return _scan(d, "edge", min(_degrees(d)))
+    return _sec(d)
 
 
 def report(
@@ -334,7 +348,9 @@ def report(
     census (when requested) and stats.
 
     A graph that is not strongly connected gets a flagged partial report
-    with one sub-report per nontrivial SCC.
+    with one sub-report per nontrivial SCC. Once ``stats`` has found a
+    diameter, g is strongly connected and U(g) connected, so the values
+    come from ``_svc``/``_sec`` without another SCC pass.
     """
     _check_limit(limit)
     rep = ConnectivityReport(
@@ -354,10 +370,9 @@ def report(
                 rep.component_vertices.append(comp)
         return rep
 
-    rep.sigma0, rep.sigma1 = svc(g), sec(g)
+    rep.sigma0, rep.sigma1 = _svc(g), _sec(g)
     und = underlying(g)
-    rep.zeta0_underlying = undirected_vertex_connectivity(und)
-    rep.zeta1_underlying = undirected_edge_connectivity(und)
+    rep.zeta0_underlying, rep.zeta1_underlying = _svc(und), _sec(und)
     if enumerate_witnesses:
         try:
             vw = _weakening_sets(g, "vertex", rep.sigma0, limit, allow_large)

@@ -2,6 +2,10 @@
 weakening vertex set, split into SCCs, and recurse on each nontrivial
 component. All bookkeeping is kept in the original graph's vertex ids.
 
+Only the root is checked. Every other node is an SCC of its parent minus a
+set, so the unchecked ``_svc`` gives its sigma0, and its zeta0 on the root's
+underlying graph induced on its vertices (U(g)[S] = U(g[S])).
+
 When several minimum sets exist the lexicographically first (by sorted
 member ids) is removed and the total witness count is recorded, so a
 divergence from some other tie-break can be diagnosed instead of hidden.
@@ -15,12 +19,11 @@ from typing import List, Optional, Tuple
 from .connectivity import (
     EnumerationGuardError,
     WeakeningSet,
+    _svc,
     _weakening_sets,
-    svc,
-    undirected_vertex_connectivity,
     vertex_pair_scan,
 )
-from .graphs import DirectedGraph, PreconditionError, induced, underlying
+from .graphs import DirectedGraph, PreconditionError, UndirectedGraph, induced, underlying
 from .scc import _components, is_strongly_connected
 
 
@@ -39,22 +42,23 @@ class DecompositionNode:
 
 def _node(
     g: DirectedGraph,
+    und: UndirectedGraph,
     vertices: Tuple[int, ...],
     depth: int,
     max_depth: int,
     enumerate_large: bool,
 ) -> Tuple[DecompositionNode, List[Tuple[int, ...]]]:
     """The node of g's induced subgraph on ``vertices``, without children,
-    and the vertices of its children in order."""
+    and the vertices of its children in order; ``und`` is U(g)."""
     # vertices is ascending and induced keeps relative order, so local id
     # i of h is vertices[i] and ascending local sets map to ascending ones
     h, _ = induced(g, vertices)
-    k = svc(h)
+    k = _svc(h)
     node = DecompositionNode(
         vertices=vertices,
         depth=depth,
         sigma0=k,
-        zeta0_underlying=undirected_vertex_connectivity(underlying(h)),
+        zeta0_underlying=_svc(induced(und, vertices)[0]),
         chosen_set=None,
         witness_count=None,
         condensation_sizes=(),
@@ -111,10 +115,10 @@ def iterate(
     # depth-first from an explicit stack, not recursion, so depth is bounded
     # by memory only: (list to append the node to, its vertices, depth)
     roots: List[DecompositionNode] = []
-    stack = [(roots, tuple(range(g.n)), 0)]
+    stack, und = [(roots, tuple(range(g.n)), 0)], underlying(g)
     while stack:
         siblings, vertices, depth = stack.pop()
-        node, comps = _node(g, vertices, depth, max_depth, enumerate_large)
+        node, comps = _node(g, und, vertices, depth, max_depth, enumerate_large)
         siblings.append(node)
         stack += [(node.children, comp, depth + 1) for comp in reversed(comps)]
     return roots[0]

@@ -8,12 +8,19 @@ construction, so what is derived from one can be kept on it: the slot
 An ``UndirectedGraph`` reads as its own doubled digraph: its sorted
 neighbour lists are both the successor and the predecessor lists of the
 copy ``doubled`` builds, so the directed scans run on it without one.
+
+Validation lives in the public constructors and ingestion. A derived graph
+(``induced``, ``remove_vertices``, ``underlying``) comes from ``_from_sorted``
+on lists already checked and sorted, and is not validated or sorted again;
+its ``edges`` set is built on first use, ``m`` reads the list lengths and
+``has_edge`` bisects a sorted list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class GraphInputError(ValueError):
@@ -42,6 +49,11 @@ def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
         yield u, v
 
 
+def _in_sorted(a: List[int], v: int) -> bool:
+    i = bisect_left(a, v)
+    return i < len(a) and a[i] == v
+
+
 class DirectedGraph:
     """Simple digraph on dense vertex ids 0..n-1.
 
@@ -50,7 +62,7 @@ class DirectedGraph:
     ``vertex_labels`` keeps external names for human-readable reports.
     """
 
-    __slots__ = ("n", "edges", "vertex_labels", "_succ", "_pred", "_doms")
+    __slots__ = ("n", "_edges", "vertex_labels", "_succ", "_pred", "_doms")
 
     def __init__(
         self,
@@ -60,7 +72,7 @@ class DirectedGraph:
     ):
         edgeset = set(_checked_edges(n, edges))
         self.n = n
-        self.edges = frozenset(edgeset)
+        self._edges = frozenset(edgeset)
         if vertex_labels is not None:
             for k in vertex_labels:
                 if not (0 <= k < n):
@@ -80,9 +92,23 @@ class DirectedGraph:
         self._succ = succ
         self._pred = pred
 
+    @classmethod
+    def _from_sorted(cls, succ, pred, vertex_labels=None) -> "DirectedGraph":
+        """The graph on these checked, sorted lists, taken as they are."""
+        g = cls.__new__(cls)
+        g.n, g._edges, g.vertex_labels = len(succ), None, vertex_labels
+        g._succ, g._pred = succ, pred
+        return g
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        if self._edges is None:  # a derived graph's, built on first use
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._succ))
 
     def successors(self, u: int):
         return self._succ[u]
@@ -91,7 +117,7 @@ class DirectedGraph:
         return self._pred[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        return 0 <= u < self.n and _in_sorted(self._succ[u], v)
 
     def label(self, u: int) -> str:
         if self.vertex_labels is not None and u in self.vertex_labels:
@@ -123,12 +149,12 @@ class UndirectedGraph:
     ``successors``, ``predecessors`` and ``has_edge`` read it as its
     doubled digraph, with the same sorted lists as ``doubled`` gives."""
 
-    __slots__ = ("n", "edges", "_adj", "_doms")
+    __slots__ = ("n", "_edges", "_adj", "_doms")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         edgeset = {(min(u, v), max(u, v)) for u, v in _checked_edges(n, edges)}
         self.n = n
-        self.edges = frozenset(edgeset)
+        self._edges = frozenset(edgeset)
         adj = [[] for _ in range(n)]
         for u, v in edgeset:
             adj[u].append(v)
@@ -137,9 +163,22 @@ class UndirectedGraph:
             lst.sort()
         self._adj = adj
 
+    @classmethod
+    def _from_sorted(cls, adj) -> "UndirectedGraph":
+        """The graph on these checked, sorted lists, taken as they are."""
+        d = cls.__new__(cls)
+        d.n, d._edges, d._adj = len(adj), None, adj
+        return d
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        if self._edges is None:  # a derived graph's, built on first use
+            self._edges = frozenset((u, v) for u, a in enumerate(self._adj) for v in a if u < v)
+        return self._edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, u: int):
         return self._adj[u]
@@ -147,7 +186,7 @@ class UndirectedGraph:
     successors = predecessors = neighbors
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and _in_sorted(self._adj[u], v)
 
     def is_connected(self) -> bool:
         # connected exactly when the doubled digraph is strongly connected
@@ -190,8 +229,10 @@ class GraphStats:
 
 
 def underlying(g: DirectedGraph) -> UndirectedGraph:
-    """U(g): keep an undirected edge wherever at least one arc exists."""
-    return UndirectedGraph(g.n, g.edges)
+    """U(g): keep an undirected edge wherever at least one arc exists
+    (each neighbour list is the sorted union of successors and predecessors)."""
+    return UndirectedGraph._from_sorted(
+        [sorted({*g.successors(v), *g.predecessors(v)}) for v in range(g.n)])
 
 
 def doubled(d: UndirectedGraph) -> DirectedGraph:
@@ -210,21 +251,8 @@ def remove_vertices(
     """g - s. Returns the remapped graph and the old-id -> new-id map
     (decomposition bookkeeping needs it). Surviving ids keep their
     relative order."""
-    sset = set(s)
-    for v in sset:
-        if not (0 <= v < g.n):
-            raise GraphInputError(f"vertex {v} outside [0, {g.n})")
-    keep = [v for v in range(g.n) if v not in sset]
-    mapping = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges
-        if u not in sset and v not in sset
-    ]
-    labels = None
-    if g.vertex_labels is not None:
-        labels = {mapping[v]: g.vertex_labels[v] for v in keep if v in g.vertex_labels}
-    return DirectedGraph(len(keep), edges, labels), mapping
+    gone = set(_checked_ids(g, s))
+    return induced(g, [v for v in range(g.n) if v not in gone])
 
 
 def remove_edges(g: DirectedGraph, s: Iterable[Edge]) -> DirectedGraph:
@@ -236,15 +264,31 @@ def remove_edges(g: DirectedGraph, s: Iterable[Edge]) -> DirectedGraph:
     return DirectedGraph(g.n, g.edges - sset, g.vertex_labels)
 
 
-def induced(
-    g: DirectedGraph, u: Iterable[int]
-) -> Tuple[DirectedGraph, Dict[int, int]]:
-    """g[u]: subgraph induced by vertex set u, with the old->new id map."""
-    uset = set(u)
-    for v in uset:
+def _checked_ids(g: Graph, vs: Iterable[int]) -> List[int]:
+    """The distinct ids in vs, ascending; each must lie in [0, n)."""
+    ids = sorted(set(vs))
+    for v in ids[:1] + ids[-1:]:
         if not (0 <= v < g.n):
             raise GraphInputError(f"vertex {v} outside [0, {g.n})")
-    return remove_vertices(g, set(range(g.n)) - uset)
+    return ids
+
+
+def induced(g: Graph, u: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
+    """g[u]: subgraph induced by vertex set u, with the old->new id map.
+    g's sorted lists are filtered through the map, which keeps them
+    sorted. An UndirectedGraph gives one too, so U(g)[u] = U(g[u])."""
+    keep = _checked_ids(g, u)
+    mapping = dict(zip(keep, range(len(keep))))
+    new = [mapping.get(v, -1) for v in range(g.n)]
+
+    def sub(lists):
+        return [[x for w in lists[v] if (x := new[w]) >= 0] for v in keep]
+
+    if isinstance(g, UndirectedGraph):
+        return UndirectedGraph._from_sorted(sub(g._adj)), mapping
+    labels = g.vertex_labels and {
+        mapping[v]: g.vertex_labels[v] for v in keep if v in g.vertex_labels}
+    return DirectedGraph._from_sorted(sub(g._succ), sub(g._pred), labels), mapping
 
 
 def _diameter(g: DirectedGraph) -> Optional[int]:

@@ -213,3 +213,15 @@ def reference_diameter(g: sk.DirectedGraph) -> Optional[int]:
             return None
         diameter = max(diameter, ecc)
     return diameter
+
+
+def count_graph_builds(monkeypatch) -> List[str]:
+    """Patch the public constructors of both graph types to record, in the
+    returned list, the class name of every graph built through them."""
+    built: List[str] = []
+    for cls in (sk.DirectedGraph, sk.UndirectedGraph):
+        def counting(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built

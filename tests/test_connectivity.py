@@ -29,6 +29,7 @@ from svckit.oracle import (
 from svckit.scc import _dominator_trees
 
 from helpers import (
+    count_graph_builds,
     reaches,
     reference_components,
     reference_svc,
@@ -1102,11 +1103,13 @@ class TestReport:
         assert rep.component_vertices == [[3, 4, 5], [0, 1, 2]]
         assert [sub.flags for sub in rep.component_reports] == [["enumeration-capped"]] * 2
 
-    def test_four_unmasked_scc_passes(self, monkeypatch):
-        # svc, sec, zeta0 and zeta1 each check their own input; report and
-        # the enumeration add no pass over g's or U(g)'s own lists. Edge
-        # sets are sized over lists with their arcs left out, one pass per
-        # candidate; on gamma(2, 3) each of the 8 candidates is a witness
+    def test_no_unmasked_scc_pass(self, monkeypatch):
+        # stats' diameter shows g strongly connected, so U(g) is connected:
+        # sigma0, sigma1, zeta0 and zeta1 come from the unchecked cores, and
+        # report and the enumeration make no pass over g's or U(g)'s own
+        # lists. Edge sets are sized over lists with their arcs left out,
+        # one pass per candidate; on gamma(2, 3) each of the 8 candidates is
+        # a witness
         g = sk.gamma(sk.FamilyParams(2, 3))
         und = sk.underlying(g)
         own = [[g.successors(v) for v in range(g.n)], [und.neighbors(v) for v in range(g.n)]]
@@ -1123,8 +1126,21 @@ class TestReport:
         for module in modules:
             monkeypatch.setattr(module, "_components", counting)
         rep = sk.report(g, enumerate_witnesses=True)
-        assert len(unmasked) == 4
+        assert len(unmasked) == 0
         assert len(patched) == len(rep.edge_witnesses) == 8
+
+    def test_no_graph_built_past_ingestion(self, monkeypatch):
+        # the underlying graph and the components' subgraphs come from
+        # sorted lists; neither public constructor runs
+        graphs = [sk.gamma(sk.FamilyParams(2, 3)), _first_strong(30, 0.15),
+                  _two_way_bridge(), sk.random_digraph(30, 0.08, 4)]
+        assert not sk.is_strongly_connected(graphs[-1])
+        built = count_graph_builds(monkeypatch)
+        reports = [sk.report(g, True) for g in graphs]
+        assert built == []
+        assert reports[-1].component_reports
+        sk.underlying(sk.DirectedGraph(2, [(0, 1)]))  # the patch is live
+        assert built == ["DirectedGraph"]
 
     def test_dominator_trees_once_per_graph(self, monkeypatch):
         # every k = 1 pass reads the graph's pair of dominator trees, built

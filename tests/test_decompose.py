@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 import svckit as sk
 from svckit.graphs import PreconditionError
 from svckit.oracle import oracle_svc, oracle_zeta0
+
+from helpers import count_graph_builds
 
 
 def test_four_cycle_depth_one():
@@ -167,3 +170,45 @@ def test_deep_tree_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert len(sk.sigma_trace(want)) == 60 and "complete-bidirected" in _collect(want, [])[-1].flags
     assert tree == want
+
+
+def _three_blocks():
+    # three seeded random blocks of 12, 14 and 16 vertices sharing vertex
+    # 0: 17 nodes at depth 7, sigma0 from 1 to 3, one of them guarded
+    arcs, base = [], 1
+    for i, size in enumerate((12, 14, 16)):
+        ids = [0] + list(range(base, base + size - 1))
+        arcs += [(ids[u], ids[v]) for u, v in sk.random_digraph(size, 0.5, 1 + i).edges]
+        base += size - 1
+    return sk.DirectedGraph(base, arcs)
+
+
+def test_one_unmasked_scc_pass(monkeypatch):
+    # only the root is checked: every other node is an SCC of its parent
+    # minus a set, so sigma0 and zeta0 come from the unchecked core. The
+    # chosen sets and the witnesses are sized by masked passes
+    modules = [importlib.import_module(f"svckit.{name}")
+               for name in ("scc", "connectivity", "decompose")]
+    real, passes = modules[0]._components, []
+
+    def counting(succ, pred, dead):
+        passes.append(any(dead))
+        return real(succ, pred, dead)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_components", counting)
+    nodes = _collect(sk.iterate(_three_blocks(), 7), [])
+    assert sorted({node.sigma0 for node in nodes}) == [1, 2, 3] and len(nodes) == 17
+    assert ["witnesses-not-enumerated" in node.flags for node in nodes].count(True) == 1
+    assert passes.count(False) == 1 and passes.count(True) >= len(nodes)
+
+
+def test_no_graph_built_past_ingestion(monkeypatch):
+    # each node filters the sorted lists of the root and of its underlying
+    # graph; neither public constructor runs
+    g = _three_blocks()
+    built = count_graph_builds(monkeypatch)
+    assert len(_collect(sk.iterate(g, 7), [])) == 17
+    assert built == []
+    sk.UndirectedGraph(2, [(0, 1)])  # the patch is live
+    assert built == ["UndirectedGraph"]

@@ -157,6 +157,78 @@ class TestRemoveVertices:
             assert h2.n == direct.n and h2.edges == direct.edges
 
 
+def _labelled_digraphs():
+    # seeded digraphs, strongly connected and not, n in {0, 1, 2, 30}, with
+    # about half of the vertices labelled (and some graphs with none)
+    rng = random.Random(26)
+    for n in (0, 1, 2, 30):
+        for p in (0.05, 0.12, 0.3, 0.9):
+            for _ in range(3):
+                arcs = [(u, v) for u in range(n) for v in range(n)
+                        if u != v and rng.random() < p]
+                labels = {v: f"v{v}" for v in range(n) if rng.random() < 0.5}
+                yield sk.DirectedGraph(n, arcs, labels if rng.random() < 0.8 else None)
+
+
+def _keep_sets(n, rng):
+    return [set(), {rng.randrange(n)} if n else set(), set(range(n)),
+            {v for v in range(n) if rng.random() < 0.5}]
+
+
+def _assert_same_graph(got, want):
+    # compare through the list reads first, so the lazily built edge set is
+    # checked against the constructor's only at the end
+    assert type(got) is type(want)
+    assert (got.n, got.m) == (want.n, want.m)
+    for v in range(want.n):
+        assert got.successors(v) == want.successors(v)
+        assert got.predecessors(v) == want.predecessors(v)
+    pairs = [(u, v) for u in range(-1, want.n + 1) for v in range(-1, want.n + 1)]
+    assert [got.has_edge(u, v) for u, v in pairs] == [want.has_edge(u, v) for u, v in pairs]
+    assert got == want and got.edges == want.edges and hash(got) == hash(want)
+
+
+class TestDerivedGraphs:
+    """induced, remove_vertices and underlying build from g's sorted lists
+    without validation; each must equal what the public constructor builds
+    from the same edges and labels."""
+
+    def test_match_the_public_constructors(self):
+        rng, kinds = random.Random(7), set()
+        for g in _labelled_digraphs():
+            kinds.add(g.n >= 2 and sk.is_strongly_connected(g))
+            _assert_same_graph(sk.underlying(g), sk.UndirectedGraph(g.n, g.edges))
+            for keep in _keep_sets(g.n, rng):
+                ids = {old: new for new, old in enumerate(sorted(keep))}
+                want = sk.DirectedGraph(
+                    len(keep),
+                    [(ids[u], ids[v]) for u, v in g.edges if u in keep and v in keep],
+                    None if g.vertex_labels is None else
+                    {ids[v]: name for v, name in g.vertex_labels.items() if v in keep})
+                h, mapping = sk.induced(g, sorted(keep, reverse=True) * 2)
+                _assert_same_graph(h, want)
+                assert h.vertex_labels == want.vertex_labels and mapping == ids
+                h, mapping = sk.remove_vertices(g, set(range(g.n)) - keep)
+                _assert_same_graph(h, want)
+                assert h.vertex_labels == want.vertex_labels and mapping == ids
+                d, mapping = sk.induced(sk.underlying(g), keep)
+                _assert_same_graph(d, sk.UndirectedGraph(want.n, want.edges))
+                _assert_same_graph(d, sk.underlying(want))
+                assert mapping == ids
+        assert kinds == {False, True}
+
+    def test_ids_outside_the_graph_rejected(self):
+        g = sk.DirectedGraph(3, [(0, 1), (1, 2), (2, 0)], {0: "a"})
+        for bad in ([3], [-1], [0, 5], [-2, 1]):
+            for op in (sk.induced, sk.remove_vertices):
+                with pytest.raises(GraphInputError, match=r"outside \[0, 3\)"):
+                    op(g, bad)
+            with pytest.raises(GraphInputError):
+                sk.induced(sk.underlying(g), bad)
+        with pytest.raises(GraphInputError):
+            sk.induced(sk.DirectedGraph(0, []), [0])
+
+
 class TestRemoveEdges:
     def test_cycle_minus_edge_not_strong(self):
         h = sk.remove_edges(cycle3(), {(0, 1)})
