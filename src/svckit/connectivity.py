@@ -132,13 +132,14 @@ def _min_flow(net, pairs: Iterable[Tuple[int, int]], best: int,
               lower: int) -> Tuple[int, Optional[Tuple]]:
     """min(best, min flow over ``pairs`` on the flow network ``net``) and
     the cut of the first pair that went below best (None if none did).
-    Flows are capped at the running best; the loop stops once it reaches
-    ``lower``. Vertex flows need pairs that are not arcs."""
-    cut = None
+    Flows run unchecked, capped at the running best, so vertex flows need
+    valid pairs that are not arcs; only a flow below best reads its cut.
+    The loop stops once it reaches ``lower``."""
+    cut, run = None, net._run
     for a, b in pairs:
-        ans = net.flow(a, b, cap=best)
-        if not ans.saturated:
-            best, cut = ans.value, ans.cut
+        value, parent, _, _ = run(a, b, best)
+        if parent is not None:
+            best, cut = value, net._cut(parent)
             if best <= lower:
                 break
     return best, cut

@@ -20,12 +20,16 @@ Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
 capacity 1 on the internal arc), so the flow counts internally disjoint
 paths, plus a super source x and sink y joined to each vertex once it is
 enabled (Even 1975). A flow packs disjoint paths s -> a -> t, then
-s -> a -> b -> t, from the adjacency lists, and augments only for the rest
-(Even & Tarjan 1975), on a split network built by the first flow that
-needs it; a flow the packing settles copies nothing. Values and cuts do not
-depend on the starting flow: a saturated flow only certifies its cap, and
-every maximum flow leaves the same set reachable from s in its residual
-network, where the cut is read.
+s -> a -> b -> t, then, for a capped flow still short, s -> a -> b -> c -> t,
+from the adjacency lists, and augments only for the rest (Even & Tarjan
+1975), on a split network built by the first flow that needs it; a flow the
+packing settles copies nothing. Values and cuts do not depend on the
+starting flow: a saturated flow only certifies its cap, and every maximum
+flow leaves the same set reachable from s in its residual network, where
+the cut is read.
+
+Pairs are checked once, by the one-shot wrappers; the networks take valid
+pairs (distinct, in range, no arc s -> t for vertex flows).
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ class FlowAnswer:
 class _Network:
     """Fixed arc structure plus template capacities. Arc ``2i`` is a
     forward arc and ``2i + 1`` its residual reverse (template capacity 0);
-    forward arc ``2i`` cuts ``items[i]`` when it has one. A subclass maps a
-    vertex pair to its source and sink nodes, and packs paths up to a
-    limit, in ``_start``."""
+    forward arc ``2i`` cuts ``items[i]`` when it has one. ``_start`` maps a
+    vertex pair to its source and sink nodes and packs paths up to a limit,
+    which only the split network does."""
 
     def __init__(self, size: int):
         self.head: List[List[int]] = [[] for _ in range(size)]
@@ -111,8 +115,11 @@ class _Network:
                 v = to[eid ^ 1]
             flow += 1
 
+    def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
+        return s, t, []  # edge flows pack nothing
+
     def _warm(self, paths: List[Tuple[int, ...]]) -> List[int]:
-        return self.template[:]  # a fresh copy: edge flows pack nothing and start cold
+        return self.template[:]  # a fresh copy, cold
 
     def _run(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, Optional[List[int]], int, List[int]]:
         """``_max_flow`` from the paths ``_start`` packs, then the sink and
@@ -125,15 +132,17 @@ class _Network:
         cap = self._warm(paths)
         return (*self._max_flow(cap, src, snk, limit, len(paths)), snk, cap)
 
-    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
-        """Maximum number of disjoint s->t paths, with the items cut by the
-        forward arcs that leave what s reaches in the final residual
-        network: all saturated, by max-flow/min-cut."""
-        value, parent = self._run(s, t, cap)[:2]
+    def _cut(self, parent: List[int]) -> Tuple:
+        """The items cut by the forward arcs that leave what s reaches in
+        the final residual network: all saturated, by max-flow/min-cut."""
         to = self.to
-        cut = () if parent is None else tuple(
-            item for i, item in enumerate(self.items)
-            if parent[to[2 * i + 1]] != -1 and parent[to[2 * i]] == -1)
+        return tuple(item for i, item in enumerate(self.items)
+                     if parent[to[2 * i + 1]] != -1 and parent[to[2 * i]] == -1)
+
+    def flow(self, s: int, t: int, cap: Optional[int] = None) -> FlowAnswer:
+        """Maximum number of disjoint s->t paths, with its ``_cut``."""
+        value, parent = self._run(s, t, cap)[:2]
+        cut = () if parent is None else self._cut(parent)
         return FlowAnswer(value=value, cut=cut, saturated=parent is None)
 
     def min_cuts(self, s: int, t: int, k: int) -> Iterator[Tuple]:
@@ -224,28 +233,25 @@ class VertexFlowNetwork(_Network):
 
     def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
         """From s_out to t_in, after ``_pack``; vertex n names x as a source
-        and y as a sink. Requires that the edge (s, t) is absent; with a
-        direct edge no separating vertex cut exists and the quantity is
-        undefined. No path enters s_in or leaves t_in, so the internal arcs
-        of s and t never carry flow or join a cut."""
-        _check_pair(self.g.n + 1, s, t)
-        if self.g.n not in (s, t) and self.g.has_edge(s, t):
-            raise GraphInputError(
-                f"edge ({s}, {t}) present: no separating vertex cut exists"
-            )
+        and y as a sink. Takes a valid pair: with an edge (s, t) no
+        separating vertex cut exists. No path enters s_in or leaves t_in, so
+        the internal arcs of s and t never carry flow or join a cut."""
         return 2 * s + 1, 2 * t, self._pack(s, t, limit)
 
     def _pack(self, s: int, t: int, limit: Optional[int]) -> List[Tuple[int, ...]]:
         """Vertex-disjoint paths s -> a -> t, then s -> a -> b -> t, up to
         ``limit``, as vertex tuples, from g's adjacency lists in O(deg^2); from
         x, backwards from t. A free middle vertex ends a path next to t if it
-        is a predecessor of t (next to x or y: if it is enabled)."""
+        is a predecessor of t (next to x or y: if it is enabled). A capped
+        flow still short, with a free first hop left for each missing path,
+        then packs s -> a -> b -> c -> t in O(deg^3), s and t marked used and
+        c != a, since b may be s, t or a reciprocal neighbour of a."""
         g, n = self.g, self.g.n
         step = g.predecessors if s == n else g.successors
         ends = self.on if n in (s, t) else bytearray(n)
         for a in () if n in (s, t) else g.predecessors(t):
             ends[a] = 1
-        near, used = step(t if s == n else s), bytearray(n)
+        near, used = step(t if s == n else s), bytearray(n + 1)
         paths = [(s, a, t) for a in near if ends[a]][:limit]
         for p in paths:
             used[p[1]] = 1
@@ -256,6 +262,20 @@ class VertexFlowNetwork(_Network):
                 if ends[b] and not used[b]:
                     paths.append((s, b, a, t) if s == n else (s, a, b, t))
                     used[a] = used[b] = 1
+                    break
+        if limit is None or len(paths) == limit or sum(not used[a] for a in near) < limit - len(paths):
+            return paths
+        used[s] = used[t] = 1
+        for a in near:
+            if len(paths) == limit:
+                break
+            for b in () if used[a] else step(a):
+                for c in () if used[b] else step(b):
+                    if ends[c] and not used[c] and c != a:
+                        paths.append((s, c, b, a, t) if s == n else (s, a, b, c, t))
+                        used[a] = used[b] = used[c] = 1
+                        break
+                if used[a]:
                     break
         return paths
 
@@ -282,16 +302,13 @@ class EdgeFlowNetwork(_Network):
         for u, v in self.items:
             self._add_arc(u, v, 1)
 
-    def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
-        _check_pair(self.g.n, s, t)
-        return s, t, []
-
 
 def edge_max_flow(
     g: Graph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
     """Maximum number of pairwise edge-disjoint s->t paths (one-shot
     ``EdgeFlowNetwork(g).flow``)."""
+    _check_pair(g.n, s, t)
     return EdgeFlowNetwork(g).flow(s, t, cap)
 
 
@@ -299,8 +316,10 @@ def vertex_max_flow(
     g: Graph, s: int, t: int, cap: Optional[int] = None
 ) -> FlowAnswer:
     """Maximum number of internally-vertex-disjoint s->t paths (one-shot
-    ``VertexFlowNetwork(g).flow``)."""
+    ``VertexFlowNetwork(g).flow``); an edge (s, t) leaves no vertex cut."""
     _check_pair(g.n, s, t)
+    if g.has_edge(s, t):
+        raise GraphInputError(f"edge ({s}, {t}) present: no separating vertex cut exists")
     return VertexFlowNetwork(g).flow(s, t, cap)
 
 

@@ -324,9 +324,7 @@ def stats(g: DirectedGraph) -> GraphStats:
     a level (0.4 MB at n = 1759, 50 MB at n = 20,000)."""
     if g.n == 0:
         return GraphStats(0, 0, 0, 0, 0, 0, 0, 0, None)
-    udeg = [len(s) + len(p) for s, p in zip(g._succ, g._pred)]
-    for u, v in g.edges:
-        udeg[u] -= (v, u) in g.edges  # a reciprocal pair is one neighbour
+    udeg = [len(set(s).union(p)) for s, p in zip(g._succ, g._pred)]
     indeg, outdeg = list(map(len, g._pred)), list(map(len, g._succ))
     return GraphStats(
         n=g.n,

@@ -103,16 +103,16 @@ class TestSvcSec:
         # once and in order, with the degree bound's worth of prefix, until
         # the value reaches 1; zeta0 runs each unordered pair one way, since
         # MF(a, b) = MF(b, a) on the doubled digraph. Every flow is capped
-        # at the running best
+        # at the running best. Scans call the network's run directly
         calls = []
-        flow = VertexFlowNetwork.flow
+        run = VertexFlowNetwork._run
 
-        def counted(net, s, t, cap=None):
-            ans = flow(net, s, t, cap=cap)
-            calls.append((s, t, cap, ans))
-            return ans
+        def counted(net, s, t, cap):
+            out = run(net, s, t, cap)
+            calls.append((s, t, cap, out[0]))
+            return out
 
-        monkeypatch.setattr(VertexFlowNetwork, "flow", counted)
+        monkeypatch.setattr(VertexFlowNetwork, "_run", counted)
         graphs = [g for g, _ in strongly_connected_corpus(40)]
         graphs += [_sigma_two(40), _planted(12, True), _planted(12, False)]
         runs = 0
@@ -126,9 +126,9 @@ class TestSvcSec:
                 once = frozenset if isinstance(h, sk.UndirectedGraph) else tuple
                 assert len(set(map(once, pairs))) == len(pairs), h
                 best = bound
-                for _, _, cap, ans in calls:
+                for _, _, cap, value in calls:
                     assert cap == best, h
-                    best = min(best, ans.value)
+                    best = min(best, value)
                 assert value == best, h
                 runs += len(calls) > 0
         assert runs >= 20  # most scans ran flows at all
@@ -136,24 +136,26 @@ class TestSvcSec:
     def test_scans_the_packing_settles_build_no_arcs(self, monkeypatch):
         # random_digraph(40, 0.3, 3): svc = 7 and zeta0 = 15. The packing
         # settles each of their 87 and 55 prefix-pair flows at its cap, so
-        # no split network is built and no augmenting search runs
+        # no split network is built and no augmenting search runs. Flows
+        # are counted at the network's run, which scans call directly, and
+        # a saturated run returns no residual reach
         g = sk.random_digraph(40, 0.3, 3)
         built, flows = [], []
-        build, flow = VertexFlowNetwork._build, VertexFlowNetwork.flow
+        build, run = VertexFlowNetwork._build, VertexFlowNetwork._run
 
         def counted_build(net):
             built.append(net.g)
             build(net)
 
-        def counted_flow(net, s, t, cap=None):
-            flows.append(flow(net, s, t, cap=cap))
+        def counted_run(net, s, t, cap):
+            flows.append(run(net, s, t, cap))
             return flows[-1]
 
         monkeypatch.setattr(VertexFlowNetwork, "_build", counted_build)
-        monkeypatch.setattr(VertexFlowNetwork, "flow", counted_flow)
+        monkeypatch.setattr(VertexFlowNetwork, "_run", counted_run)
         assert sk.svc(g) == 7 and len(flows) == 87
         assert sk.undirected_vertex_connectivity(sk.underlying(g)) == 15 and len(flows) == 87 + 55
-        assert all(ans.saturated for ans in flows) and built == []
+        assert all(parent is None for _, parent, _, _ in flows) and built == []
 
 
 class TestWeakeningSets:
@@ -417,8 +419,8 @@ class TestWeakeningSets:
     def test_listing_flows_are_capped_at_k_plus_one(self, monkeypatch):
         # random_digraph(30, 0.15, 32): sigma0 = 2 and 9 sets. One flow
         # capped at k + 1 per prefix pair on k + 1 prefix vertices, 57 in
-        # all; the packing leaves 15 of them short, and only 9 of those end
-        # at k, below the cap, and list a cut
+        # all; the packing, with paths of up to three middle vertices, leaves
+        # 9 of them short, and all 9 end at k, below the cap, and list a cut
         g = sk.random_digraph(30, 0.15, 32)
         k = sk.svc(g)
         calls = _count_vertex_flows(monkeypatch)
@@ -428,7 +430,7 @@ class TestWeakeningSets:
         assert calls["min_cuts"] == [(a, b, k) for a, b in pairs]
         assert [c[:3] for c in calls["pack"]] == [(2 * a + 1, 2 * b, k + 1) for a, b in pairs]
         short = [c for c in calls["pack"] if c[3] < k + 1]
-        assert [c[:4] for c in calls["max_flow"]] == short and len(short) == 15
+        assert [c[:4] for c in calls["max_flow"]] == short and len(short) == 9
         assert sum(c[4] for c in calls["max_flow"]) == 9
 
     def test_every_order_lists_the_same_sets(self, monkeypatch):

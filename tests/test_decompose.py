@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import svckit as sk
+from svckit.flow import VertexFlowNetwork
 from svckit.graphs import PreconditionError
 from svckit.oracle import oracle_svc, oracle_zeta0
 
@@ -212,3 +213,18 @@ def test_no_graph_built_past_ingestion(monkeypatch):
     assert built == []
     sk.UndirectedGraph(2, [(0, 1)])  # the patch is live
     assert built == ["UndirectedGraph"]
+
+
+def test_packing_settles_most_flows(monkeypatch):
+    # random_digraph(40, 0.3, 3) to depth 7: 569 vertex flows, of which
+    # packed paths of up to three middle vertices leave 8 short of their
+    # cap, so only 8 copy a capacity template, on 6 split networks
+    counts = {"_pack": 0, "_warm": 0, "_build": 0}
+    for name in counts:
+        def counting(*args, name=name, real=getattr(VertexFlowNetwork, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(VertexFlowNetwork, name, counting)
+    tree = sk.iterate(sk.random_digraph(40, 0.3, 3), 7)
+    assert sk.sigma_trace(tree)[0] == 7
+    assert counts == {"_pack": 569, "_warm": 8, "_build": 6}

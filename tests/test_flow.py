@@ -49,6 +49,12 @@ class TestEdgeMaxFlow:
         with pytest.raises(GraphInputError):
             sk.edge_max_flow(sk.directed_cycle(3), 1, 1)
 
+    def test_rejects_ids_outside_the_graph(self):
+        g = sk.directed_cycle(3)
+        for s, t in ((0, 3), (3, 0), (-1, 1)):
+            with pytest.raises(GraphInputError):
+                sk.edge_max_flow(g, s, t)
+
     def test_menger_duality_brute(self):
         for g, seed in small_corpus():
             for s in range(g.n):
@@ -98,6 +104,10 @@ class TestVertexMaxFlow:
         u, v = blocks["U"][0], blocks["V"][0]
         assert sk.vertex_max_flow(g, u, v).value == brute_min_vertex_cut(g, u, v) == 3
         assert sk.vertex_max_flow(g, v, u).value == brute_min_vertex_cut(g, v, u) == 2
+
+    def test_rejects_equal_endpoints(self):
+        with pytest.raises(GraphInputError):
+            sk.vertex_max_flow(sk.directed_cycle(4), 2, 2)
 
     def test_direct_edge_rejected(self):
         g = sk.directed_cycle(3)
@@ -161,6 +171,64 @@ class TestPackedStart:
             ans = fresh.flow(0, 6, limit)
             assert ans.value == packed and ans.saturated == (limit == packed)
             assert (fresh.to == []) == ans.saturated
+
+    def test_third_stage_reaches_the_cap(self):
+        # 0 -> 4 -> 5 and 0 -> 1 -> 2 -> 3 -> 5: only a path of three middle
+        # vertices reaches cap 2, so the flow settles with no network built.
+        # Uncapped flows pack no such path, nor do flows capped above what
+        # the free first hops can reach. From x, the paths run backwards
+        # from 5 to the enabled 0 and 1
+        g = sk.DirectedGraph(6, [(0, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 5)])
+        net = VertexFlowNetwork(g)
+        for cap in (None, 1, 3):
+            assert net._pack(0, 5, cap) == [(0, 4, 5)]
+        assert net._pack(0, 5, 2) == [(0, 4, 5), (0, 1, 2, 3, 5)]
+        assert net.flow(0, 5, cap=2) == sk.FlowAnswer(value=2, cut=(), saturated=True)
+        net.enable(0)
+        net.enable(1)
+        assert net._pack(6, 5, 2) == [(6, 0, 4, 5), (6, 1, 2, 3, 5)]
+        assert net.flow(6, 5, cap=2).saturated and net.to == []
+        assert net.flow(0, 5) == sk.FlowAnswer(value=2, cut=(1, 4), saturated=False)
+
+    def test_third_stage_repeats_no_vertex(self):
+        # 0 <-> 1 <-> 2 -> 3 -> 4 and 0 -> 5 -> 4: from s = 0 the first hop 1
+        # leads back to s and to 2, whose successors include 1 again; the
+        # one path through 1 is 0 -> 1 -> 2 -> 3 -> 4
+        g = sk.DirectedGraph(6, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 4), (0, 5), (5, 4),
+                                 (4, 0)])
+        net = VertexFlowNetwork(g)
+        assert net._pack(0, 4, 2) == [(0, 5, 4), (0, 1, 2, 3, 4)]
+        assert net._pack(0, 4, None) == [(0, 5, 4)]
+        assert net.flow(0, 4) == sk.FlowAnswer(value=2, cut=(1, 5), saturated=False)
+
+    def test_packed_paths_are_disjoint_paths_of_g(self):
+        # caps 1-4 on seeded digraphs and their underlying graphs, for the
+        # ordinary non-arc pairs and for both kinds of super pair after j
+        # enables: every packed path is a path of g (x -> v and v -> y only
+        # for an enabled v), no two share a middle vertex, no path passes
+        # through s or t, and warming the network writes no negative
+        # capacity. Many flows take a path of three middle vertices
+        rng, longest = random.Random(5), [0, 0]
+        for d, _ in seeded_random_graphs(30, n_lo=6, n_hi=14, probs=(0.15, 0.25, 0.4)):
+            for g in (d, sk.underlying(d)):
+                net, n = VertexFlowNetwork(g), g.n
+                ordinary = [(s, t) for s, t in itertools.permutations(range(n), 2)
+                            if not g.has_edge(s, t)]
+                for v in [None] + rng.sample(range(n), n):
+                    for s, t in ordinary if v is None else ((n, v), (v, n)):
+                        for cap in (1, 2, 3, 4):
+                            paths = net._pack(s, t, cap)
+                            middles = [w for p in paths for w in p[1:-1]]
+                            assert len(paths) <= cap and all(p[0] == s and p[-1] == t for p in paths)
+                            assert len(set(middles)) == len(middles) and not {s, t} & set(middles)
+                            for p in paths:
+                                assert all(net.on[w] if u == n else net.on[u] if w == n
+                                           else g.has_edge(u, w) for u, w in zip(p, p[1:])), p
+                            assert min(net._warm(paths)) >= 0
+                            longest[v is not None] += any(len(p) == 5 for p in paths)
+                    if v is not None:
+                        net.enable(v)
+        assert min(longest) >= 100, longest
 
     def test_super_pairs_match_an_explicit_terminal(self):
         # vertex n names x as a source and y as a sink, joined to the

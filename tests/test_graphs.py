@@ -279,6 +279,24 @@ class TestStats:
         assert st_.min_degree == st_.max_degree == 2
         assert st_.min_in == st_.max_in == st_.min_out == st_.max_out == 1
 
+    def test_underlying_degrees_read_from_the_lists(self):
+        # the underlying degree of v is |N+(v) | N-(v)|, a reciprocal pair
+        # counting once, against the edge set. It is read from the sorted
+        # lists, so a report on a derived graph, here the largest SCC,
+        # never builds that graph's edge set
+        for g, seed in seeded_random_graphs(60, n_lo=1, n_hi=30, probs=(0.05, 0.15, 0.5, 0.9)):
+            near = [set() for _ in range(g.n)]
+            for u, v in g.edges:
+                near[u].add(v)
+                near[v].add(u)
+            st_ = sk.stats(g)
+            assert (st_.min_degree, st_.max_degree) == (min(map(len, near)), max(map(len, near))), seed
+            h, _ = sk.induced(g, max(sk.scc(g).components, key=len))
+            assert sk.report(h, True).stats == sk.stats(sk.DirectedGraph(h.n, h.edges)), seed
+            h, _ = sk.induced(g, max(sk.scc(g).components, key=len))
+            sk.report(h, True)
+            assert h._edges is None, seed
+
     def test_isolated_vertices_unbounded(self):
         st_ = sk.stats(sk.DirectedGraph(2, []))
         assert st_.diameter is None
