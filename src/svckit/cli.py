@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error,
 3 precondition failure (e.g. graph not strongly connected where required,
-or witness enumeration refused at sigma >= 3 without --enumerate-large).
+witness enumeration refused at sigma >= 3 without --enumerate-large, or a
+decomposition tree too deep for ``iterate --out`` to write).
 """
 
 from __future__ import annotations
@@ -185,7 +186,16 @@ def _run(args) -> int:
         print(f"sigma_trace: {sigma_trace(tree)}")
         print(f"zeta_trace: {zeta_trace(tree)}")
         if args.out:
-            _emit(to_canonical_json(tree_to_dict(tree, g)), args.out)
+            try:
+                text = to_canonical_json(tree_to_dict(tree, g))
+            except RecursionError:
+                nodes = [tree]
+                for node in nodes:  # grows as it is read: every node, top-down
+                    nodes += node.children
+                depth = max(x.depth for x in nodes)
+                raise PreconditionError(f"the decomposition tree is {depth} levels deep, "
+                                        f"too deep for the nested {SCHEMA} format") from None
+            _emit(text, args.out)
         return 0
     if cmd == "export-dot":
         highlight = None

@@ -9,11 +9,11 @@ An ``UndirectedGraph`` reads as its own doubled digraph: its sorted
 neighbour lists are both the successor and the predecessor lists of the
 copy ``doubled`` builds, so the directed scans run on it without one.
 
-Validation lives in the public constructors and ingestion. A derived graph
-(``induced``, ``remove_vertices``, ``underlying``) comes from ``_from_sorted``
-on lists already checked and sorted, and is not validated or sorted again;
-its ``edges`` set is built on first use, ``m`` reads the list lengths and
-``has_edge`` bisects a sorted list.
+A graph is its sorted adjacency lists. Validation happens where input
+enters, in the public constructors and ingestion; what is valid by
+construction (ingested or derived graphs) comes from ``_from_sorted`` and
+is not validated or sorted again. Every graph's ``edges`` set is built on
+first read; ``m`` reads the list lengths and ``has_edge`` bisects a list.
 """
 
 from __future__ import annotations
@@ -49,6 +49,18 @@ def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
         yield u, v
 
 
+def _sorted_lists(n: int, arcs: Iterable[Edge]) -> Tuple[List[List[int]], List[List[int]]]:
+    """The sorted successor and predecessor lists of n vertices joined by
+    these distinct arcs, as ``_from_sorted`` takes them."""
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u].append(v)
+        pred[v].append(u)
+    for lst in succ + pred:
+        lst.sort()
+    return succ, pred
+
+
 def _in_sorted(a: List[int], v: int) -> bool:
     i = bisect_left(a, v)
     return i < len(a) and a[i] == v
@@ -57,9 +69,10 @@ def _in_sorted(a: List[int], v: int) -> bool:
 class DirectedGraph:
     """Simple digraph on dense vertex ids 0..n-1.
 
-    Edges are ordered pairs; self-loops and duplicates are rejected at
-    construction (ingestion drops them before getting here). Optional
-    ``vertex_labels`` keeps external names for human-readable reports.
+    Edges are ordered pairs. A self-loop is rejected at construction and a
+    repeated edge counts once (ingestion drops both before getting here).
+    Optional ``vertex_labels`` keeps external names for human-readable
+    reports.
     """
 
     __slots__ = ("n", "_edges", "vertex_labels", "_succ", "_pred", "_doms")
@@ -70,27 +83,14 @@ class DirectedGraph:
         edges: Iterable[Edge],
         vertex_labels: Optional[Mapping[int, str]] = None,
     ):
-        edgeset = set(_checked_edges(n, edges))
-        self.n = n
-        self._edges = frozenset(edgeset)
+        arcs = set(_checked_edges(n, edges))
         if vertex_labels is not None:
             for k in vertex_labels:
                 if not (0 <= k < n):
                     raise GraphInputError(f"label key {k} outside [0, {n})")
-            self.vertex_labels: Optional[Dict[int, str]] = dict(vertex_labels)
-        else:
-            self.vertex_labels = None
-        succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
-        for u, v in edgeset:
-            succ[u].append(v)
-            pred[v].append(u)
-        for lst in succ:
-            lst.sort()
-        for lst in pred:
-            lst.sort()
-        self._succ = succ
-        self._pred = pred
+            vertex_labels = dict(vertex_labels)
+        self.n, self._edges, self.vertex_labels = n, None, vertex_labels
+        self._succ, self._pred = _sorted_lists(n, arcs)
 
     @classmethod
     def _from_sorted(cls, succ, pred, vertex_labels=None) -> "DirectedGraph":
@@ -102,7 +102,7 @@ class DirectedGraph:
 
     @property
     def edges(self) -> FrozenSet[Edge]:
-        if self._edges is None:  # a derived graph's, built on first use
+        if self._edges is None:  # built on first read
             self._edges = frozenset(self.sorted_edges())
         return self._edges
 
@@ -130,11 +130,7 @@ class DirectedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.vertex_labels == other.vertex_labels
-        )
+        return self._succ == other._succ and self.vertex_labels == other.vertex_labels
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -144,7 +140,7 @@ class DirectedGraph:
 
 
 class UndirectedGraph:
-    """Simple undirected graph; edges stored as (min, max) pairs.
+    """Simple undirected graph; its ``edges`` are (min, max) pairs.
 
     ``successors``, ``predecessors`` and ``has_edge`` read it as its
     doubled digraph, with the same sorted lists as ``doubled`` gives."""
@@ -152,16 +148,10 @@ class UndirectedGraph:
     __slots__ = ("n", "_edges", "_adj", "_doms")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        edgeset = {(min(u, v), max(u, v)) for u, v in _checked_edges(n, edges)}
-        self.n = n
-        self._edges = frozenset(edgeset)
-        adj = [[] for _ in range(n)]
-        for u, v in edgeset:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self._adj = adj
+        # on (min, max) pairs, v's predecessors are its smaller neighbours
+        larger, smaller = _sorted_lists(n, {(min(e), max(e)) for e in _checked_edges(n, edges)})
+        self.n, self._edges = n, None
+        self._adj = [a + b for a, b in zip(smaller, larger)]
 
     @classmethod
     def _from_sorted(cls, adj) -> "UndirectedGraph":
@@ -172,7 +162,7 @@ class UndirectedGraph:
 
     @property
     def edges(self) -> FrozenSet[Edge]:
-        if self._edges is None:  # a derived graph's, built on first use
+        if self._edges is None:  # built on first read
             self._edges = frozenset((u, v) for u, a in enumerate(self._adj) for v in a if u < v)
         return self._edges
 
@@ -197,7 +187,7 @@ class UndirectedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -236,13 +226,9 @@ def underlying(g: DirectedGraph) -> UndirectedGraph:
 
 
 def doubled(d: UndirectedGraph) -> DirectedGraph:
-    """D(d): replace each undirected edge by two opposite arcs, as a copy
-    (``d`` itself already reads as this digraph)."""
-    arcs = []
-    for u, v in d.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return DirectedGraph(d.n, arcs)
+    """D(d): replace each undirected edge by two opposite arcs, as a
+    DirectedGraph on d's lists (``d`` itself already reads as this digraph)."""
+    return DirectedGraph._from_sorted(d._adj, d._adj)
 
 
 def remove_vertices(
@@ -256,12 +242,14 @@ def remove_vertices(
 
 
 def remove_edges(g: DirectedGraph, s: Iterable[Edge]) -> DirectedGraph:
-    """g - s for an edge set; vertex set unchanged."""
-    sset = {tuple(e) for e in s}
-    for e in sset:
-        if e not in g.edges:
+    """g - s for a set of g's edges; vertex set unchanged."""
+    gone = {tuple(e) for e in s}
+    for e in gone:
+        if not (len(e) == 2 and all(isinstance(x, int) for x in e) and g.has_edge(*e)):
             raise GraphInputError(f"edge {e!r} not present in graph")
-    return DirectedGraph(g.n, g.edges - sset, g.vertex_labels)
+    succ = [[v for v in a if (u, v) not in gone] for u, a in enumerate(g._succ)]
+    pred = [[u for u in a if (u, v) not in gone] for v, a in enumerate(g._pred)]
+    return DirectedGraph._from_sorted(succ, pred, g.vertex_labels)
 
 
 def _checked_ids(g: Graph, vs: Iterable[int]) -> List[int]:

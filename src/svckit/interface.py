@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
 
 from .connectivity import ConnectivityReport, WeakeningSet
 from .decompose import DecompositionNode
-from .graphs import DirectedGraph, GraphInputError
+from .graphs import DirectedGraph, GraphInputError, _sorted_lists
 
 log = logging.getLogger("svckit")
 
@@ -155,7 +155,7 @@ def _assemble(
             path, self_loops, duplicates,
         )
     labels = {i: tok for tok, i in ids.items()}
-    graph = DirectedGraph(len(ids), edges, labels)
+    graph = DirectedGraph._from_sorted(*_sorted_lists(len(ids), edges), labels)
     return IngestResult(graph, self_loops, duplicates)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import DirectedGraph, Graph, UndirectedGraph
+from .graphs import DirectedGraph, Graph, UndirectedGraph, _sorted_lists
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,8 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 
 def condensation(g: DirectedGraph) -> Condensation:
     part = scc(g)
-    k = len(part.components)
-    dag_edges = set()
-    for u, v in g.edges:
-        cu, cv = part.component_of[u], part.component_of[v]
-        if cu != cv:
-            dag_edges.add((cu, cv))
+    comp = part.component_of
+    arcs = {(comp[u], comp[v]) for u, v in g.sorted_edges() if comp[u] != comp[v]}
     sizes = [len(c) for c in part.components]
-    return Condensation(dag=DirectedGraph(k, dag_edges), sizes=sizes)
+    dag = DirectedGraph._from_sorted(*_sorted_lists(len(sizes), arcs))
+    return Condensation(dag=dag, sizes=sizes)

@@ -142,6 +142,32 @@ class TestIterate:
                 assert r.stdout == ""
                 assert r.stderr == f"error: --depth must be >= 1, got {depth}\n"
 
+    def test_tree_too_deep_to_write_exits_3(self, tmp_path, capsys):
+        # a bidirected path of 120 vertices: its largest chain is 60 levels
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(119)))
+        out = tmp_path / "tree.json"
+        argv = ["iterate", str(path), "--depth", "500", "--out", str(out)]
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 80)
+        try:
+            code = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "levels deep" in err and "svckit-report/1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        # at the default limit the same run writes the tree
+        assert main(argv) == 0
+        assert "sigma_trace: [1" in capsys.readouterr().out
+        assert json.loads(out.read_text())["kind"] == "decomposition"
+
 
 class TestExportDot:
     def test_highlight(self, gamma13_file):

@@ -59,6 +59,9 @@ class TestLocalSigma:
     def test_rejects_equal(self):
         with pytest.raises(GraphInputError):
             sk.local_sigma(sk.directed_cycle(3), 2, 2)
+        for u, v in ((0, 3), (-1, 1)):  # ids outside [0, n)
+            with pytest.raises(GraphInputError):
+                sk.local_sigma(sk.directed_cycle(3), u, v)
 
     def test_rejects_not_strong(self):
         g = sk.DirectedGraph(3, [(0, 1), (1, 2)])
@@ -644,7 +647,7 @@ class TestUndirectedConnectivity:
             assert sk.undirected_vertex_connectivity(d) >= 1
             assert sk.undirected_edge_connectivity(d) >= 1
         assert built == []
-        sk.doubled(graphs[0])  # the patch is live: the reference copy counts
+        sk.DirectedGraph(2, [(0, 1)])  # the patch is live: a direct build counts
         assert len(built) == 1
 
 

@@ -49,6 +49,7 @@ def test_gamma23_matches_figure_two():
 def test_gamma_equal_params_is_doubled_complete():
     g = sk.gamma(sk.FamilyParams(3, 3))
     assert g == sk.doubled_complete(4)
+    assert sk.gamma_blocks(sk.FamilyParams(3, 3)) == {}
 
 
 def test_gamma_strongly_connected_sweep():
@@ -116,3 +117,5 @@ def test_random_digraph():
     assert a != c  # overwhelmingly likely with 72 candidate pairs
     with pytest.raises(GraphInputError):
         sk.random_digraph(3, 1.5, 0)
+    with pytest.raises(GraphInputError):
+        sk.random_digraph(0, 0.5, 0)

@@ -229,6 +229,65 @@ class TestDerivedGraphs:
             sk.induced(sk.DirectedGraph(0, []), [0])
 
 
+class TestStorage:
+    """A graph stores only its sorted lists: no path builds its edge set,
+    and graphs from different paths on the same edges and labels are equal
+    and hash equal."""
+
+    def test_no_construction_path_stores_an_edge_set(self, tmp_path):
+        edgelist, graphml = tmp_path / "g.edges", tmp_path / "g.graphml"
+        edgelist.write_text("a b\nb a\na b\na a\nb c\nc a\nd\n")
+        graphml.write_text(
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="directed">'
+            '<node id="x"/><node id="y"/><edge source="x" target="y"/><edge source="y" target="x"/>'
+            '<edge source="x" target="y"/></graph></graphml>')
+        g = sk.DirectedGraph(4, [(0, 1), (1, 2), (2, 0), (0, 1)], {0: "a"})
+        und = sk.UndirectedGraph(4, [(0, 1), (1, 0), (2, 1)])
+        built = [
+            g, und, sk.read_graph(edgelist), sk.read_graph(graphml),
+            sk.gamma(sk.FamilyParams(1, 3)), sk.gamma(sk.FamilyParams(2, 2)),
+            sk.doubled_complete(3), sk.directed_cycle(4), sk.random_digraph(6, 0.4, 1),
+            sk.doubled(und), sk.remove_edges(g, {(0, 1)}), sk.remove_edges(g, set()),
+            sk.induced(g, [0, 2])[0], sk.induced(und, [1, 2])[0],
+            sk.remove_vertices(g, [1])[0], sk.underlying(g), sk.condensation(g).dag,
+        ]
+        assert [h._edges for h in built] == [None] * len(built)
+
+    def test_paths_agree_and_compare_without_an_edge_set(self, tmp_path):
+        rng, f = random.Random(28), tmp_path / "g.edges"
+        for g in _labelled_digraphs():
+            arcs, labels = g.sorted_edges(), g.vertex_labels
+            mixed = arcs[::-1] + rng.sample(arcs, len(arcs) // 2)
+            extra = [(u, v) for u in range(g.n) for v in range(g.n)
+                     if u != v and not g.has_edge(u, v)][:3]
+            sym = arcs + [(v, u) for u, v in arcs]
+            groups = [
+                [sk.DirectedGraph(g.n, arcs, labels), sk.DirectedGraph(g.n, mixed, labels),
+                 sk.remove_edges(sk.DirectedGraph(g.n, arcs + extra, labels), extra),
+                 sk.induced(g, range(g.n))[0]],
+                [sk.doubled(sk.underlying(g)), sk.DirectedGraph(g.n, sym),
+                 sk.doubled(sk.UndirectedGraph(g.n, mixed))],
+                [sk.underlying(g), sk.UndirectedGraph(g.n, mixed),
+                 sk.induced(sk.underlying(g), range(g.n))[0]],
+            ]
+            if g.n:
+                # a self-loop per vertex, in id order, pins the ids ingestion gives
+                names = [g.label(v) for v in range(g.n)]
+                f.write_text("".join(f"{x} {x}\n" for x in names)
+                             + "".join(f"{names[u]} {names[v]}\n" for u, v in mixed))
+                groups.append([sk.read_graph(f), sk.DirectedGraph(g.n, arcs, dict(enumerate(names)))])
+            for group in groups:
+                for h in group[1:]:
+                    assert h == group[0] and not h != group[0]
+                assert [h._edges for h in group] == [None] * len(group)
+                assert len({hash(h) for h in group}) == 1
+                assert all(h.edges == group[0].edges for h in group)
+            if g.n >= 2 and g.vertex_labels:
+                assert g != sk.DirectedGraph(g.n, arcs)
+            if extra:
+                assert g != sk.DirectedGraph(g.n, arcs + extra[:1], labels)
+
+
 class TestRemoveEdges:
     def test_cycle_minus_edge_not_strong(self):
         h = sk.remove_edges(cycle3(), {(0, 1)})
@@ -240,6 +299,13 @@ class TestRemoveEdges:
     def test_missing_edge_rejected(self):
         with pytest.raises(GraphInputError):
             sk.remove_edges(cycle3(), {(1, 0)})
+
+    def test_anything_not_an_edge_rejected(self):
+        # a non-edge, a reversed arc, and members that are not id pairs
+        g = sk.directed_cycle(4)
+        for bad in ((0, 2), (1, 0), (0, 1, 5), (1,), ("0", "1")):
+            with pytest.raises(GraphInputError, match="not present in graph"):
+                sk.remove_edges(g, [(0, 1), bad])
 
     def test_gamma13_minus_min_weakening_edge_splits(self):
         # oracle: every single-edge removal on the 11-vertex witness graph
