@@ -21,18 +21,19 @@ minimum cut delta+(S) is crossed by some consecutive pair leaving S).
 
 Minimum vertex and edge sets at k = 1 come from one dominator pass: the
 strong articulation points of G are the non-trivial dominators of G and
-of its reverse from one root, and the strong bridges, O(m) over n nodes,
-are the bridges of those flow graphs (Italiano, Laura & Santaroni 2012).
-The two trees are computed once per graph, so the degree-bound-2 scans
-and the listing share them, and an undirected graph needs one tree.
-A set is sized from the subtrees it cuts off: G - c is the root's SCC
-plus the SCCs among them (Georgiadis, Italiano & Parotsidis 2017). Sets
-at k = sigma >= 2 are the minimum cuts of the pairs that reach sigma
-(prefix pairs with p = k + 1, cyclic pairs for edges), listed from each
-pair's residual network by the lister both flow networks share (Picard &
-Queyranne 1980): one flow capped at k + 1 per pair plus O(m) per cut. A
-full Kosaraju pass over the vertex lists sizes the root candidate, the
-fallback and each cut, and no graph is rebuilt.
+of its reverse from one root, plus the root if G - root splits, and the
+strong bridges, O(m) over n nodes, are the bridges of those flow graphs
+(Italiano, Laura & Santaroni 2012). The two trees are computed once per
+graph, so the degree-bound-2 scans and the listing share them, and an
+undirected graph needs one tree. A set is sized from the subtrees it cuts
+off: G - c is the root's SCC plus the SCCs among them (Georgiadis,
+Italiano & Parotsidis 2017). Sets at k = sigma >= 2 are the minimum cuts
+of the pairs that reach sigma (prefix pairs with p = k + 1, cyclic pairs
+for edges), listed from each pair's residual network by the lister both
+flow networks share (Picard & Queyranne 1980): one flow capped at k + 1
+per pair plus O(m) per cut, each sized by a full Kosaraju pass over the
+vertex lists; no graph is rebuilt. Every listed set weakens G by
+construction (``_listed``), so the degree-bound-2 scans size none.
 
 The public functions check strong connectivity; the cores ``_svc`` and
 ``_sec`` do not, for inputs strongly connected by construction: g and U(g)
@@ -185,9 +186,9 @@ def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int,
 
 
 def _scan(g: Graph, kind: str, best: int) -> int:
-    """1 at degree bound 1; at 2, 1 iff the k = 1 pass finds a cut; else flows."""
+    """1 at degree bound 1; at 2, 1 iff the k = 1 lister yields a set; else flows."""
     if best <= 2:
-        return 1 if best == 1 or _weakening_sets(g, kind, 1, 1, False) else 2
+        return 1 if best == 1 or any(_listed(g, kind, 1, False)) else 2
     return _min_flow(*_network(g, kind, best), best, 1)[0]
 
 
@@ -222,43 +223,43 @@ def _check_limit(limit: Optional[int]) -> None:
         raise GraphInputError(f"limit must be >= 1, got {limit}")
 
 
-def _weakening_sets(
-    g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
-) -> WitnessList:
-    """Every k-subset W (k >= 1) of vertices (or of sorted edges) whose
-    removal leaves a graph with one vertex or one that is not strongly
-    connected, in lexicographic order. k >= 3 raises EnumerationGuardError
-    unless ``allow_large``.
-
-    At k = 1 the sets are the ``_candidates`` (vertices) or ``_bridges``
-    (edges) of g's dominator trees, computed once per graph. At k >= 2
-    they are the minimum cuts of the pairs that reach sigma
-    (``_prefix_pairs`` with k + 1 prefix vertices, so that no cut holds
-    the whole prefix, or the cyclic pairs for edges) from ``min_cuts``,
-    de-duplicated and sorted, or every (n-1)-subset of the complete
-    bidirected graph. Each set is sized by one Kosaraju pass over the
-    vertex lists masked to its ``away`` (every live vertex if None: root
-    candidate, fallback, cuts at k >= 2), the root's SCC being the rest;
-    an edge set's arcs are left out of copies of the lists they touch.
-    """
+def _listed(g: Graph, kind: str, k: int, allow_large: bool) -> Iterable[Tuple]:
+    """(members, away), unsized, for every k-subset (k = sigma) of vertices
+    (or of sorted edges) whose removal leaves g with one vertex or not
+    strongly connected, in lexicographic order. k >= 3 raises
+    EnumerationGuardError unless ``allow_large``. Each weakens g by
+    construction: an (n-1)-subset of the complete bidirected graph (also
+    n = 2) leaves one vertex; a strong articulation point (``_candidates``)
+    or bridge (``_bridges``) cuts ``away`` off; a minimum cut (``min_cuts``,
+    de-duplicated and sorted, ``away`` None) of a cyclic pair separates it,
+    and one of a ``_prefix_pairs`` pair on k + 1 prefix vertices spares a
+    prefix vertex that then misses the pair's far end."""
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
         raise EnumerationGuardError(
             f"{name}={k}: subset enumeration needs allow_large=True"
         )
+    if kind == "vertex" and k == g.n - 1:
+        return ((w, None) for w in itertools.combinations(range(g.n), k))
+    if k == 1:
+        return (((c,), away) for c, away in
+                (_candidates if kind == "vertex" else _bridges)(g))
+    net, pairs = _network(g, kind, k + 1)
+    return [(cut, None) for cut in sorted({
+        cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
+
+
+def _weakening_sets(
+    g: Graph, kind: str, k: int, limit: Optional[int], allow_large: bool
+) -> WitnessList:
+    """The ``_listed`` sets up to ``limit``, each sized by one Kosaraju pass
+    over the vertex lists masked to its ``away`` (every live vertex if
+    None), the rest being one SCC; an edge set's arcs are left out of
+    copies of the lists they touch. A set that does not weaken g raises."""
     succ = [g.successors(v) for v in range(g.n)]
     pred = [g.predecessors(v) for v in range(g.n)]
-    if k == 1:
-        sets = (((c,), away) for c, away in
-                (_candidates if kind == "vertex" else _bridges)(g))
-    elif kind == "vertex" and k == g.n - 1:
-        sets = ((w, None) for w in itertools.combinations(range(g.n), k))
-    else:
-        net, pairs = _network(g, kind, k + 1)
-        sets = [(cut, None) for cut in sorted({
-            cut for a, b in pairs for cut in net.min_cuts(a, b, k)})]
     out = WitnessList()
-    for members, away in sets:
+    for members, away in _listed(g, kind, k, allow_large):
         s, p = succ, pred
         if kind == "edge":
             s, p = succ[:], pred[:]
@@ -268,11 +269,11 @@ def _weakening_sets(
         dead = bytearray(b"\x01") * g.n
         for v in set(range(g.n)).difference(members) if away is None else away:
             dead[v] = 0
-        rest = (g.n - k if kind == "vertex" else g.n) - dead.count(0)  # root's SCC
+        rest = (g.n - k if kind == "vertex" else g.n) - dead.count(0)  # one SCC
         sizes = [len(c) for c in _components(s, p, dead)] + [rest] * (rest > 0)
         sizes.sort(reverse=True)
-        if len(sizes) == 1 and sizes[0] > 1:  # still strongly connected
-            continue
+        if len(sizes) == 1 and sizes[0] > 1:
+            raise AssertionError(f"listed {kind} set {members} leaves g strongly connected")
         out.append(WeakeningSet(kind, members, tuple(sizes)))
         if limit is not None and len(out) >= limit:
             out.capped = True
@@ -289,13 +290,13 @@ def weakening_vertex_sets(
     connectivity (or leaves one vertex), in lexicographic order.
 
     At sigma0 = 1 enumeration costs one strong articulation point pass
-    (dominator trees of g and its reverse, O(m)), each set sized over the
-    vertices it cuts off. At k = sigma0 >= 2 it costs one split-network
-    flow capped at k + 1 per prefix pair (at most k(k + 1) + 2(n - k - 1)
-    pairs, most settled by packing short paths), plus O(m) per minimum cut
-    of a pair, from its residual network, and a full O(m) SCC pass per
-    cut; ``limit`` caps the sizing, not that listing. sigma0 >= 3 needs
-    allow_large=True.
+    (dominator trees of g and its reverse, O(m), and an SCC pass for the
+    root), each set sized over what it cuts off. At k = sigma0 >= 2 it
+    costs one split-network flow capped at k + 1 per prefix pair (at most
+    k(k + 1) + 2(n - k - 1) pairs, most settled by packing short paths),
+    plus O(m) per minimum cut of a pair, from its residual network, and a
+    full O(m) SCC pass per cut; ``limit`` caps the sizing, not that listing.
+    sigma0 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "vertex", svc(g), limit, allow_large)

@@ -9,6 +9,7 @@ underlying graph induced on its vertices (U(g)[S] = U(g[S])).
 When several minimum sets exist the lexicographically first (by sorted
 member ids) is removed and the total witness count is recorded, so a
 divergence from some other tie-break can be diagnosed instead of hidden.
+Every listed set weakens the node, so none is sized but the chosen one.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import List, Optional, Tuple
 from .connectivity import (
     EnumerationGuardError,
     WeakeningSet,
+    _listed,
     _svc,
-    _weakening_sets,
     vertex_pair_scan,
 )
 from .graphs import DirectedGraph, PreconditionError, UndirectedGraph, induced, underlying
@@ -71,7 +72,7 @@ def _node(
         return node, []
 
     try:
-        witnesses = _weakening_sets(h, "vertex", k, None, enumerate_large)
+        witnesses = [members for members, _ in _listed(h, "vertex", k, enumerate_large)]
     except EnumerationGuardError:
         node.flags.append("witnesses-not-enumerated")
         # one minimum weakening vertex set from a flow cut certificate;
@@ -81,7 +82,7 @@ def _node(
             raise AssertionError("no cut of size sigma0 found; sigma0 inconsistent")
     else:
         node.witness_count = len(witnesses)
-        local_members = witnesses[0].members
+        local_members = witnesses[0]
     dead = bytearray(h.n)
     for v in local_members:
         dead[v] = 1

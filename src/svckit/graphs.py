@@ -253,12 +253,12 @@ def remove_edges(g: DirectedGraph, s: Iterable[Edge]) -> DirectedGraph:
 
 
 def _checked_ids(g: Graph, vs: Iterable[int]) -> List[int]:
-    """The distinct ids in vs, ascending; each must lie in [0, n)."""
-    ids = sorted(set(vs))
-    for v in ids[:1] + ids[-1:]:
-        if not (0 <= v < g.n):
-            raise GraphInputError(f"vertex {v} outside [0, {g.n})")
-    return ids
+    """The distinct ids in vs, ascending; each must be an int in [0, n)."""
+    ids = list(vs)
+    for v in ids:
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise GraphInputError(f"vertex {v!r} outside [0, {g.n})")
+    return sorted(set(ids))
 
 
 def induced(g: Graph, u: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:

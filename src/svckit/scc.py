@@ -1,5 +1,5 @@
 """Strongly connected components (Kosaraju-Sharir), the condensation DAG,
-and a graph's strong articulation points and bridges, with what each cuts off.
+and exactly the strong articulation points and bridges, with what each cuts off.
 
 Both passes are one iterative postorder DFS, the same loop the dominator
 passes run. Traversal order is pinned to ascending vertex ids and list
@@ -148,19 +148,19 @@ def _dominator_trees(g: Graph) -> Optional[Tuple[Tuple, Tuple]]:
     return g._doms
 
 
-def _candidates(g: Graph) -> Iterator[Tuple[int, Optional[set]]]:
-    """(c, away) for ascending nodes c that include every node whose
-    removal leaves g not strongly connected or with one node: node 0, the
-    root, then the non-trivial dominators of g and of its reverse from the
-    root (Italiano, Laura & Santaroni 2012); or every node when g has
-    fewer than 3 nodes or is not strongly connected. A dominator's
-    ``away`` is its proper descendants in both trees, the nodes g - c cuts
-    off from the root; the others' is None."""
-    trees = _dominator_trees(g) if g.n >= 3 else None
-    if trees is None:
-        yield from ((c, None) for c in range(g.n))
-        return
-    yield 0, None
+def _candidates(g: Graph) -> Iterator[Tuple[int, set]]:
+    """(c, away) for the strong articulation points c of the strongly
+    connected g with n >= 3, ascending: node 0, the root, when one masked
+    pass finds g - 0 split, then the non-trivial dominators of g and of its
+    reverse from the root (Italiano, Laura & Santaroni 2012). ``away`` is
+    what g - c cuts off from one SCC of the rest: for the root, every part
+    of g - 0 but a largest; for a dominator, its proper descendants in both
+    trees, cut off from the root."""
+    lists = [[g.successors(v) for v in range(g.n)], [g.predecessors(v) for v in range(g.n)]]
+    parts = sorted(_components(*lists, bytearray([1]) + bytes(g.n - 1)), key=len)
+    if len(parts) > 1:
+        yield 0, set().union(*parts[:-1])
+    trees = _dominator_trees(g)
     for c in sorted({*trees[0][0], *trees[1][0]} - {0}):
         yield c, {v for _, (order, pos, lo) in trees for v in order[lo[c]:pos[c]]}
 

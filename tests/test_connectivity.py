@@ -34,7 +34,6 @@ from helpers import (
     reference_components,
     reference_svc,
     reference_weakening_sets,
-    seeded_random_graphs,
     strongly_connected_corpus,
 )
 
@@ -210,32 +209,16 @@ class TestWeakeningSets:
         assert len(sets) == 5  # every 4-subset leaves one vertex
 
     def test_candidates_include_every_completion(self):
-        # every c whose removal weakens the graph is listed: it weakens
-        # unless the rest is one SCC of more than one vertex. A non-None
-        # away is what c cuts off: the vertices other than c outside the
-        # root's SCC of the rest. Graphs with n = 2 and graphs that are
-        # not strongly connected take the fallback
-        tiny = broken = cut_off = 0
-        for g, seed in seeded_random_graphs(120, n_hi=12):
-            succ = [g.successors(v) for v in range(g.n)]
-            dead = bytearray(g.n)
-            tiny += g.n == 2
-            broken += g.n >= 3 and len(reference_components(succ, dead)) > 1
-            pairs = list(_candidates(g))
-            got, away_of = [c for c, _ in pairs], dict(pairs)
-            assert got == sorted(set(got)), seed
-            for c in range(g.n):
-                dead[c] = 1
-                comps = reference_components(succ, dead)
-                if away_of.get(c) is not None:
-                    kept = next(comp for comp in comps if 0 in comp)
-                    cut_off += 1
-                    want = {v for v in range(g.n) if v != c and v not in kept}
-                    assert away_of[c] == want, (seed, c)
-                dead[c] = 0
-                if not (len(comps) == 1 and len(comps[0]) > 1):
-                    assert c in got, (seed, c)
-        assert tiny and broken and cut_off
+        # on strongly connected graphs with n >= 3, whose rest has two or
+        # more vertices, the candidates are exactly the vertices whose
+        # removal splits the graph; the root among them only when g - 0
+        # splits, which some graphs of each kind do and some do not
+        roots = rootless = points = 0
+        for g, seed in strongly_connected_corpus(120, n_lo=3, n_hi=12):
+            listed = _assert_candidates_are_the_cuts(g)
+            roots, rootless = roots + (0 in listed), rootless + (0 not in listed)
+            points += len(listed)
+        assert roots >= 10 and rootless >= 80 and points >= 70
 
     def test_bridges_are_the_arcs_whose_removal_weakens(self):
         # against removing each arc and running scc: every arc that breaks
@@ -275,18 +258,10 @@ class TestWeakeningSets:
         graphs += [_fly_shaped(n, extra, seed)
                    for n, extra, seed in ((60, 6, 0), (100, 50, 1), (200, 20, 3))]
         graphs += [_bound_two(seed) for seed in range(60)] + [_two_way_bridge()]
-        points = bridges = 0
+        points = roots = bridges = 0
         for u in map(sk.underlying, graphs):
             succ, dead = [u.neighbors(v) for v in range(u.n)], bytearray(u.n)
-            cuts = {0: None}
-            for c in range(1, u.n):
-                dead[c] = 1
-                comps = reference_components(succ, dead)
-                dead[c] = 0
-                if len(comps) > 1:
-                    kept = next(comp for comp in comps if 0 in comp)
-                    cuts[c] = {v for v in range(u.n) if v != c and v not in kept}
-            assert list(_candidates(u)) == sorted(cuts.items()), u
+            listed = _assert_candidates_are_the_cuts(u)
             arcs = []
             for a, b in [(a, b) for a in range(u.n) for b in succ[a]]:
                 rest = succ[:]
@@ -296,8 +271,8 @@ class TestWeakeningSets:
                     kept = next(comp for comp in comps if 0 in comp)
                     arcs.append(((a, b), set(range(u.n)).difference(kept)))
             assert list(_bridges(u)) == arcs, u
-            points, bridges = points + len(cuts) - 1, bridges + len(arcs)
-        assert points >= 70 and bridges >= 50
+            points, roots, bridges = points + len(listed), roots + (0 in listed), bridges + len(arcs)
+        assert points - roots >= 70 and roots >= 2 and bridges >= 50
 
     def test_sizes_match_reference_components_past_oracle(self):
         # every k = 1 vertex and edge set of sparse fly-shaped graphs, and
@@ -337,6 +312,17 @@ class TestWeakeningSets:
         for kind, got in (("vertex", vertex), ("edge", edge)):
             assert [(w.members, w.resulting_scc_sizes) for w in got] == (
                 oracle_weakening_sets(g, kind))
+
+    def test_sizer_raises_on_a_set_that_does_not_weaken(self, monkeypatch):
+        # every listed set weakens g by construction, so one that leaves g
+        # strongly connected is an invariant failure, never skipped: here
+        # the root of the complete bidirected K4, and its arc (0, 1)
+        module = importlib.import_module("svckit.connectivity")
+        monkeypatch.setattr(module, "_candidates", lambda g: iter([(0, None)]))
+        monkeypatch.setattr(module, "_bridges", lambda g: iter([((0, 1), None)]))
+        for kind in ("vertex", "edge"):
+            with pytest.raises(AssertionError, match="leaves g strongly connected"):
+                _weakening_sets(sk.doubled_complete(4), kind, 1, None, False)
 
     @staticmethod
     def _assert_cuts_are_the_sets(g, witnesses):
@@ -704,6 +690,29 @@ def _two_way_bridge():
     return sk.DirectedGraph(10, [(0, 6), (6, 7), (7, 0), (0, 1), (1, 0), (1, 2), (2, 3),
                                  (3, 2), (3, 1), (1, 4), (4, 5), (5, 4), (5, 1), (4, 2),
                                  (1, 8), (8, 0), (0, 9), (9, 1)])
+
+
+def _assert_candidates_are_the_cuts(g):
+    # _candidates(g) against removing each vertex and running the reference
+    # Tarjan: exactly the c that split g, ascending, each with away the
+    # vertices other than c outside one SCC of the rest, the root's for a
+    # dominator and a largest one for the root. Returns the listed c
+    succ, dead, splits = [g.successors(v) for v in range(g.n)], bytearray(g.n), {}
+    for c in range(g.n):
+        dead[c] = 1
+        comps = reference_components(succ, dead)
+        dead[c] = 0
+        if len(comps) > 1:
+            splits[c] = [sorted(comp) for comp in comps]
+    got = list(_candidates(g))
+    assert [c for c, _ in got] == list(splits), g
+    for c, away in got:
+        kept, comps = sorted(set(range(g.n)).difference(away, [c])), splits[c]
+        if c == 0:
+            assert kept in comps and len(kept) == max(map(len, comps)), g
+        else:
+            assert kept == next(comp for comp in comps if 0 in comp), (g, c)
+    return list(splits)
 
 
 def _reference_sizes(g, kind, members):

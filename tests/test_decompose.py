@@ -8,7 +8,7 @@ from svckit.flow import VertexFlowNetwork
 from svckit.graphs import PreconditionError
 from svckit.oracle import oracle_svc, oracle_zeta0
 
-from helpers import count_graph_builds
+from helpers import count_graph_builds, strongly_connected_corpus
 
 
 def test_four_cycle_depth_one():
@@ -184,10 +184,8 @@ def _three_blocks():
     return sk.DirectedGraph(base, arcs)
 
 
-def test_one_unmasked_scc_pass(monkeypatch):
-    # only the root is checked: every other node is an SCC of its parent
-    # minus a set, so sigma0 and zeta0 come from the unchecked core. The
-    # chosen sets and the witnesses are sized by masked passes
+def _count_passes(monkeypatch):
+    # one entry per SCC pass, True if it is masked
     modules = [importlib.import_module(f"svckit.{name}")
                for name in ("scc", "connectivity", "decompose")]
     real, passes = modules[0]._components, []
@@ -198,10 +196,53 @@ def test_one_unmasked_scc_pass(monkeypatch):
 
     for module in modules:
         monkeypatch.setattr(module, "_components", counting)
+    return passes
+
+
+def test_one_unmasked_scc_pass(monkeypatch):
+    # only the root is checked: every other node is an SCC of its parent
+    # minus a set, so sigma0 and zeta0 come from the unchecked core. The
+    # chosen sets and the root candidates are sized by masked passes
+    passes = _count_passes(monkeypatch)
     nodes = _collect(sk.iterate(_three_blocks(), 7), [])
     assert sorted({node.sigma0 for node in nodes}) == [1, 2, 3] and len(nodes) == 17
     assert ["witnesses-not-enumerated" in node.flags for node in nodes].count(True) == 1
     assert passes.count(False) == 1 and passes.count(True) >= len(nodes)
+
+
+def test_path_decomposes_in_at_most_n_passes(monkeypatch):
+    # the inner vertices of a bidirected path are its strong articulation
+    # points. Each node counts them from one masked pass (the path minus
+    # its first vertex stays connected) and its dominator trees, sizing
+    # none, and one more pass sizes the chosen set: 59 passes on 30 nodes,
+    # where sizing every listed set would take 929
+    n = 60
+    g = sk.DirectedGraph(n, [a for v in range(n - 1) for a in ((v, v + 1), (v + 1, v))])
+    passes = _count_passes(monkeypatch)
+    tree = sk.iterate(g, n)
+    assert (tree.witness_count, tree.chosen_set.members) == (n - 2, (1,))
+    assert tree.condensation_sizes == (n - 2, 1) and len(_collect(tree, [])) == n // 2
+    assert len(passes) <= n
+
+
+def test_witness_counts_match_the_enumeration():
+    # each enumerated node takes its count and chosen set from the lister
+    # alone, unsized: they equal the sized enumeration of its subgraph
+    cases = [(g, 5, False) for g, _ in strongly_connected_corpus(40, n_lo=4, n_hi=14)]
+    cases.append((_three_blocks(), 7, True))
+    checked = set()
+    for g, depth, large in cases:
+        for node in _collect(sk.iterate(g, depth, large), []):
+            if node.witness_count is None:
+                continue
+            h, _ = sk.induced(g, node.vertices)
+            sets = sk.weakening_vertex_sets(h, allow_large=True)
+            assert node.witness_count == len(sets), (g, node.vertices)
+            first = sets[0]
+            assert node.chosen_set.members == tuple(node.vertices[i] for i in first.members)
+            assert node.condensation_sizes == first.resulting_scc_sizes
+            checked.add(node.sigma0)
+    assert checked == {1, 2, 3}
 
 
 def test_no_graph_built_past_ingestion(monkeypatch):

@@ -228,6 +228,17 @@ class TestDerivedGraphs:
         with pytest.raises(GraphInputError):
             sk.induced(sk.DirectedGraph(0, []), [0])
 
+    def test_ids_that_are_not_ints_rejected(self):
+        # a float or a string is no id, even when it equals one: it is
+        # neither dropped nor read as that id, and raises no TypeError
+        g = sk.DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+        for bad in ([0.5], [1.0], [0.5, 2], ["1"], [0, "1"], [2, None]):
+            for op in (sk.induced, sk.remove_vertices):
+                with pytest.raises(GraphInputError, match=r"outside \[0, 3\)"):
+                    op(g, bad)
+            with pytest.raises(GraphInputError):
+                sk.induced(sk.underlying(g), bad)
+
 
 class TestStorage:
     """A graph stores only its sorted lists: no path builds its edge set,
