@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import families
 from .connectivity import (
@@ -49,70 +49,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# each command's help and its options after ``file``, in order; every command
+# but generate takes ``file`` first and ``--format`` last
+_FLAG = {"action": "store_true"}
+_COMMANDS = {
+    "analyze": ("full connectivity report", [
+        ("--enumerate", {**_FLAG, "dest": "enumerate_witnesses"}),
+        ("--enumerate-large", {**_FLAG, "help": "allow witness enumeration even when sigma >= 3"}),
+        ("--scc-largest", {**_FLAG, "help": "restrict to the largest SCC first"}),
+        ("--limit", {"type": int, "default": None}), ("--out", {"default": None})]),
+    "svc": ("print svc as a single integer", [("--scc-largest", _FLAG)]),
+    "sec": ("print sec as a single integer", [("--scc-largest", _FLAG)]),
+    "weakening": ("list minimum weakening sets", [
+        ("--kind", {"required": True, "choices": ["vertex", "edge"]}),
+        ("--limit", {"type": int, "default": None}),
+        ("--enumerate-large", _FLAG), ("--scc-largest", _FLAG)]),
+    "iterate": ("iterated weakening decomposition", [
+        ("--depth", {"type": int, "required": True}), ("--enumerate-large", _FLAG),
+        ("--scc-largest", _FLAG), ("--out", {"default": None})]),
+    "generate": ("generate a named graph family", None),
+    "export-dot": ("DOT rendering of a graph file", [
+        ("--highlight-first-witness", _FLAG),
+        ("--enumerate-large", {**_FLAG, "help": "allow the witness search even when sigma0 >= 3"})]),
+}
+_FAMILIES = {"gamma": {"--a": int, "--b": int}, "dk": {"--n": int}, "cycle": {"--n": int},
+             "random": {"--n": int, "--p": float, "--seed": int}}
+
+
 @functools.cache
-def _build_parser() -> _Parser:
+def _top(metavar: Optional[str]) -> Tuple[_Parser, argparse.Action]:
     parser = _Parser(prog="svckit", description="Strong-connectivity toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    return parser, parser.add_subparsers(dest="command", required=True,
+                                         parser_class=_Parser, metavar=metavar)
 
-    def add_common(p):
-        p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graphml"])
 
-    p = sub.add_parser("analyze", help="full connectivity report")
-    p.add_argument("file")
-    p.add_argument("--enumerate", action="store_true", dest="enumerate_witnesses")
-    p.add_argument("--enumerate-large", action="store_true",
-                   help="allow witness enumeration even when sigma >= 3")
-    p.add_argument("--scc-largest", action="store_true",
-                   help="restrict to the largest SCC first")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--out", default=None)
-    add_common(p)
-
-    for name in ("svc", "sec"):
-        p = sub.add_parser(name, help=f"print {name} as a single integer")
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every command, or with ``command`` the one shared
+    top-level parser that has that command's sub-parser added; its usage
+    still names every command. A sub-parser is built once per process."""
+    parser, sub = _top(command and "{" + ",".join(_COMMANDS) + "}")
+    for name in [command] if command else _COMMANDS:
+        if name in sub.choices:
+            continue
+        text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        if options is None:
+            families = p.add_subparsers(dest="family", required=True, parser_class=_Parser)
+            for family, params in _FAMILIES.items():
+                pf = families.add_parser(family)
+                for param, kind in params.items():
+                    pf.add_argument(param, type=kind, required=True)
+                pf.add_argument("--out", default=None)
+            continue
         p.add_argument("file")
-        p.add_argument("--scc-largest", action="store_true")
-        add_common(p)
-
-    p = sub.add_parser("weakening", help="list minimum weakening sets")
-    p.add_argument("file")
-    p.add_argument("--kind", required=True, choices=["vertex", "edge"])
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--enumerate-large", action="store_true")
-    p.add_argument("--scc-largest", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("iterate", help="iterated weakening decomposition")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--enumerate-large", action="store_true")
-    p.add_argument("--scc-largest", action="store_true")
-    p.add_argument("--out", default=None)
-    add_common(p)
-
-    p = sub.add_parser("generate", help="generate a named graph family")
-    gsub = p.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    pg = gsub.add_parser("gamma")
-    pg.add_argument("--a", type=int, required=True)
-    pg.add_argument("--b", type=int, required=True)
-    pk = gsub.add_parser("dk")
-    pk.add_argument("--n", type=int, required=True)
-    pc = gsub.add_parser("cycle")
-    pc.add_argument("--n", type=int, required=True)
-    pr = gsub.add_parser("random")
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--p", type=float, required=True)
-    pr.add_argument("--seed", type=int, required=True)
-    for sp in (pg, pk, pc, pr):
-        sp.add_argument("--out", default=None)
-
-    p = sub.add_parser("export-dot", help="DOT rendering of a graph file")
-    p.add_argument("file")
-    p.add_argument("--highlight-first-witness", action="store_true")
-    p.add_argument("--enumerate-large", action="store_true",
-                   help="allow the witness search even when sigma0 >= 3")
-    add_common(p)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graphml"])
     return parser
 
 
@@ -222,7 +214,8 @@ def _generate(args) -> DirectedGraph:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

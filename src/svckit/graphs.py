@@ -243,20 +243,26 @@ def remove_vertices(
 
 def remove_edges(g: DirectedGraph, s: Iterable[Edge]) -> DirectedGraph:
     """g - s for a set of g's edges; vertex set unchanged."""
-    gone = {tuple(e) for e in s}
-    for e in gone:
-        if not (len(e) == 2 and all(isinstance(x, int) for x in e) and g.has_edge(*e)):
+    gone = set()
+    for e in map(tuple, s):  # each member, before (True, 2) merges into (1, 2)
+        if not (len(e) == 2 and all(map(_is_id, e)) and g.has_edge(*e)):
             raise GraphInputError(f"edge {e!r} not present in graph")
+        gone.add(e)
     succ = [[v for v in a if (u, v) not in gone] for u, a in enumerate(g._succ)]
     pred = [[u for u in a if (u, v) not in gone] for v, a in enumerate(g._pred)]
     return DirectedGraph._from_sorted(succ, pred, g.vertex_labels)
+
+
+def _is_id(v) -> bool:
+    """An int and not a bool, which would pass for vertex 0 or 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _checked_ids(g: Graph, vs: Iterable[int]) -> List[int]:
     """The distinct ids in vs, ascending; each must be an int in [0, n)."""
     ids = list(vs)
     for v in ids:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (_is_id(v) and 0 <= v < g.n):
             raise GraphInputError(f"vertex {v!r} outside [0, {g.n})")
     return sorted(set(ids))
 

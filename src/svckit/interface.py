@@ -9,12 +9,13 @@ discarded: the connectivity notions treat every edge as weight 1.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .connectivity import ConnectivityReport, WeakeningSet
 from .decompose import DecompositionNode
@@ -44,13 +45,12 @@ def read_graph_detailed(path: Union[str, Path], format: str = "auto") -> IngestR
     """``format`` is "edgelist", "graphml" or "auto": GraphML for a
     ``.graphml`` suffix or XML content, else an edge list."""
     path = Path(path)
-    if format == "auto":
-        if path.suffix.lower() == ".graphml":
-            format = "graphml"
-        else:
-            format = _sniff(path)
+    if format == "auto" and path.suffix.lower() == ".graphml":
+        format = "graphml"
+    if format in ("auto", "edgelist"):
+        text, format = _read(path, format)
     if format == "edgelist":
-        pairs, isolated = _parse_edgelist(path)
+        pairs, isolated = _parse_edgelist(text, path)
     elif format == "graphml":
         pairs, isolated = _parse_graphml(path)
     else:
@@ -58,32 +58,35 @@ def read_graph_detailed(path: Union[str, Path], format: str = "auto") -> IngestR
     return _assemble(pairs, isolated, path)
 
 
-def _sniff(path: Path) -> str:
+def _read(path: Path, format: str) -> Tuple[str, str]:
+    """The file's text, from one read, and its format: for "auto", GraphML
+    if the first 512 characters a text stream reads hold ``<graphml`` or
+    ``<?xml``. That read decodes the first 8 KiB, so a byte there that is
+    not UTF-8 is reported at its place in them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(512)
+        data = path.read_bytes()
+        if format == "auto":
+            head = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(512)
+            format = "graphml" if "<graphml" in head or "<?xml" in head else "edgelist"
+        text = data.decode("utf-8") if format == "edgelist" else ""
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return "graphml" if "<graphml" in head or "<?xml" in head else "edgelist"
+    return text, format
 
 
-def _parse_edgelist(path: Path) -> Tuple[List[Tuple[str, str]], List[str]]:
-    pairs: List[Tuple[str, str]] = []
+def _parse_edgelist(text: str, path: Path) -> Tuple[List[List[str]], List[str]]:
+    pairs: List[List[str]] = []
     isolated: List[str] = []
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) == 1:
+    comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if comments else line).split()
+        if len(tokens) == 2:
+            pairs.append(tokens)
+        elif len(tokens) == 3:
+            pairs.append(tokens[:2])
+        elif len(tokens) == 1:
             isolated.append(tokens[0])
-        elif len(tokens) in (2, 3):
-            pairs.append((tokens[0], tokens[1]))
-        else:
+        elif tokens:
             raise ParseError(f"{path}:{lineno}: expected 1-3 tokens, got {len(tokens)}")
     return pairs, isolated
 
@@ -124,29 +127,16 @@ def _parse_graphml(path: Path) -> Tuple[List[Tuple[str, str]], List[str]]:
 
 
 def _assemble(
-    pairs: List[Tuple[str, str]], isolated: List[str], path: Path
+    pairs: Sequence[Sequence[str]], isolated: List[str], path: Path
 ) -> IngestResult:
     ids: Dict[str, int] = {}
-
-    def vid(token: str) -> int:
-        if token not in ids:
-            ids[token] = len(ids)
-        return ids[token]
-
-    edges = set()
-    self_loops = 0
-    duplicates = 0
-    for a, b in pairs:
-        u, v = vid(a), vid(b)
-        if u == v:
-            self_loops += 1
-            continue
-        if (u, v) in edges:
-            duplicates += 1
-            continue
-        edges.add((u, v))
+    new = ids.setdefault  # a token's id, the next free one on first sight
+    arcs = [(new(a, len(ids)), new(b, len(ids))) for a, b in pairs]
+    edges = {(u, v) for u, v in arcs if u != v}
+    self_loops = sum(1 for u, v in arcs if u == v)
+    duplicates = len(arcs) - self_loops - len(edges)
     for token in isolated:
-        vid(token)
+        new(token, len(ids))
     if not ids:
         raise ParseError(f"{path}: empty graph")
     if self_loops or duplicates:

@@ -16,7 +16,8 @@ needs one tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import DirectedGraph, Graph, UndirectedGraph, _sorted_lists
 
@@ -148,21 +149,22 @@ def _dominator_trees(g: Graph) -> Optional[Tuple[Tuple, Tuple]]:
     return g._doms
 
 
-def _candidates(g: Graph) -> Iterator[Tuple[int, set]]:
+def _candidates(g: Graph) -> Iterator[Tuple[int, Iterable[int]]]:
     """(c, away) for the strong articulation points c of the strongly
     connected g with n >= 3, ascending: node 0, the root, when one masked
     pass finds g - 0 split, then the non-trivial dominators of g and of its
     reverse from the root (Italiano, Laura & Santaroni 2012). ``away`` is
     what g - c cuts off from one SCC of the rest: for the root, every part
     of g - 0 but a largest; for a dominator, its proper descendants in both
-    trees, cut off from the root."""
+    trees, cut off from the root. It is read once, may repeat a vertex, and
+    costs nothing until read, so counting the candidates is cheap."""
     lists = [[g.successors(v) for v in range(g.n)], [g.predecessors(v) for v in range(g.n)]]
     parts = sorted(_components(*lists, bytearray([1]) + bytes(g.n - 1)), key=len)
     if len(parts) > 1:
-        yield 0, set().union(*parts[:-1])
+        yield 0, chain.from_iterable(parts[:-1])
     trees = _dominator_trees(g)
     for c in sorted({*trees[0][0], *trees[1][0]} - {0}):
-        yield c, {v for _, (order, pos, lo) in trees for v in order[lo[c]:pos[c]]}
+        yield c, chain(*[islice(order, lo[c], pos[c]) for _, (order, pos, lo) in trees])
 
 
 def _bridges(g: Graph) -> Iterator[Tuple[Tuple[int, int], set]]:

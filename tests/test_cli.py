@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import svckit as sk
+from svckit import cli
 from svckit.cli import _build_parser, main
 
 
@@ -20,6 +21,28 @@ def gamma13_file(tmp_path):
     r = run_cli(["generate", "gamma", "--a", "1", "--b", "3", "--out", str(f)])
     assert r.returncode == 0
     return str(f)
+
+
+@pytest.fixture()
+def fresh_parsers():
+    # no parser built yet, and none left behind for later tests
+    cli._top.cache_clear()
+    yield
+    cli._top.cache_clear()
+
+
+@pytest.fixture()
+def parsers_built(monkeypatch, fresh_parsers):
+    # every _Parser built from here on
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    return built
 
 
 @pytest.fixture()
@@ -229,12 +252,62 @@ class TestInProcessEntrypoint:
         assert main(["svc", gamma13_file]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
-    def test_parser_built_once(self, gamma13_file, capsys):
-        _build_parser.cache_clear()
-        assert main(["frobnicate"]) == 1
-        assert main(["svc", gamma13_file]) == 0
-        assert capsys.readouterr().out.strip() == "1"
-        assert _build_parser.cache_info().misses == 1
+    def test_parser_built_once(self, gamma13_file, capsys, parsers_built):
+        # the full parser for an argv that names no command, then one
+        # sub-parser per command on one shared top-level parser; a repeated
+        # call builds nothing
+        for argv, code, built in ((["frobnicate"], 1, 12), (["svc", gamma13_file], 0, 2),
+                                  (["sec", gamma13_file], 0, 1), (["svc", gamma13_file], 0, 0),
+                                  (["frobnicate"], 1, 0), (["sec", gamma13_file], 0, 0)):
+            before = len(parsers_built)
+            assert main(argv) == code, argv
+            assert len(parsers_built) - before == built, argv
+        assert capsys.readouterr().out.split() == ["1"] * 4
+        assert _build_parser("svc") is _build_parser("sec") is not _build_parser()
+
+    def test_a_command_builds_only_its_parser(self, gamma13_file, tmp_path, capsys,
+                                              parsers_built):
+        assert main(["analyze", gamma13_file]) == 0
+        assert [p.prog for p in parsers_built] == ["svckit", "svckit analyze"]
+        assert main(["generate", "dk", "--n", "3", "--out", str(tmp_path / "dk3.edges")]) == 0
+        assert [p.prog for p in parsers_built[2:]] == ["svckit generate"] + [
+            f"svckit generate {family}" for family in ("gamma", "dk", "cycle", "random")]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    def test_one_command_parser_speaks_as_the_full_parser(
+            self, gamma13_file, columns, capsys, monkeypatch, fresh_parsers):
+        # stdout, stderr and exit code of every argv equal the full
+        # parser's: help, usage (which names every command) and errors
+        monkeypatch.setenv("COLUMNS", columns)
+        f = gamma13_file
+        corpus = [[], ["-h"], ["--help"], ["frobnicate"], ["svc", f, "--threads", "2"],
+                  ["analyze", f, "extra"], ["weakening", f], ["weakening", f, "--kind", "both"],
+                  ["iterate", f], ["iterate", f, "--depth", "x"], ["analyze", f, "--format", "csv"],
+                  ["svc", f, "--format", "json"], ["analyze", f, "--limit", "x"], ["svc", f],
+                  ["generate"], ["generate", "tree"], ["generate", "gamma", "--a", "2"],
+                  ["generate", "gamma", "--a", "x", "--b", "2"], ["generate", "gamma", "-h"],
+                  ["generate", "random", "--n", "5", "--p", "z", "--seed", "1"],
+                  ["generate", "dk", "--n", "3", "--bogus"], ["generate", "cycle", "--help"]]
+        corpus += [[c, *flag] for c in cli._COMMANDS for flag in (["--help"], ["-h"], [])]
+        seen = {}
+        for argv in corpus:
+            cli._top.cache_clear()  # each argv as the first in its process
+            code = main(argv)
+            seen[tuple(argv)] = one = code, *capsys.readouterr()
+            cli._top.cache_clear()
+            full = _build_parser()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", lambda command=None: full)
+                code = main(argv)
+            assert one == (code, *capsys.readouterr()), argv
+        # the top-level usage names every command; the full parser's errors
+        # name the positional "command"
+        code, _, err = seen["svc", f, "--threads", "2"]
+        assert code == 1 and "unrecognized arguments: --threads 2" in err
+        assert "{analyze,svc,sec,weakening,iterate,generate,export-dot}" in err
+        assert "error: argument command: invalid choice: 'frobnicate'" in seen["frobnicate",][2]
+        assert "error: the following arguments are required: command" in seen[()][2]
 
     def test_threads_option_removed(self, gamma13_file, capsys):
         # svckit runs single-threaded and has no thread-count flag

@@ -304,7 +304,7 @@ class TestWeakeningSets:
         # it dominates 2-5 and 8 forward and 2-5 and 9 in reverse. Arc
         # 2 -> 3 is 2's only way out and 3's only way in
         g = _two_way_bridge()
-        assert dict(_candidates(g))[1] == {2, 3, 4, 5, 8, 9}
+        assert set(dict(_candidates(g))[1]) == {2, 3, 4, 5, 8, 9}
         assert dict(_bridges(g))[(2, 3)] == {2, 3}
         vertex, edge = sk.weakening_vertex_sets(g), sk.weakening_edge_sets(g)
         sizes = {w.members: w.resulting_scc_sizes for w in vertex + edge}
@@ -707,6 +707,8 @@ def _assert_candidates_are_the_cuts(g):
     got = list(_candidates(g))
     assert [c for c, _ in got] == list(splits), g
     for c, away in got:
+        away = set(away)  # an iterable, read once
+        assert c not in away, (g, c)
         kept, comps = sorted(set(range(g.n)).difference(away, [c])), splits[c]
         if c == 0:
             assert kept in comps and len(kept) == max(map(len, comps)), g
