@@ -47,31 +47,32 @@ def read_graph_detailed(path: Union[str, Path], format: str = "auto") -> IngestR
     path = Path(path)
     if format == "auto" and path.suffix.lower() == ".graphml":
         format = "graphml"
+    data = None
     if format in ("auto", "edgelist"):
-        text, format = _read(path, format)
+        data, format = _read(path, format)
     if format == "edgelist":
-        pairs, isolated = _parse_edgelist(text, path)
+        pairs, isolated = _parse_edgelist(data, path)
     elif format == "graphml":
-        pairs, isolated = _parse_graphml(path)
+        pairs, isolated = _parse_graphml(path, data)
     else:
         raise ParseError(f"unknown format {format!r}")
     return _assemble(pairs, isolated, path)
 
 
-def _read(path: Path, format: str) -> Tuple[str, str]:
-    """The file's text, from one read, and its format: for "auto", GraphML
-    if the first 512 characters a text stream reads hold ``<graphml`` or
+def _read(path: Path, format: str) -> Tuple[Union[str, bytes], str]:
+    """The file, from one read, and its format: for "auto", GraphML if the
+    first 512 characters a text stream reads hold ``<graphml`` or
     ``<?xml``. That read decodes the first 8 KiB, so a byte there that is
-    not UTF-8 is reported at its place in them."""
+    not UTF-8 is reported at its place in them. An edge list comes as its
+    text, GraphML as its bytes."""
     try:
         data = path.read_bytes()
         if format == "auto":
             head = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(512)
             format = "graphml" if "<graphml" in head or "<?xml" in head else "edgelist"
-        text = data.decode("utf-8") if format == "edgelist" else ""
+        return (data.decode("utf-8") if format == "edgelist" else data), format
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return text, format
 
 
 def _parse_edgelist(text: str, path: Path) -> Tuple[List[List[str]], List[str]]:
@@ -91,9 +92,12 @@ def _parse_edgelist(text: str, path: Path) -> Tuple[List[List[str]], List[str]]:
     return pairs, isolated
 
 
-def _parse_graphml(path: Path) -> Tuple[List[Tuple[str, str]], List[str]]:
+def _parse_graphml(
+    path: Path, data: Optional[bytes] = None
+) -> Tuple[List[Tuple[str, str]], List[str]]:
+    """Parses ``data``, the file's bytes if already read, else the file."""
     try:
-        tree = ET.parse(path)
+        tree = ET.parse(path if data is None else io.BytesIO(data))
     except (ET.ParseError, OSError) as exc:
         raise ParseError(f"{path}: not parseable as GraphML: {exc}") from exc
 

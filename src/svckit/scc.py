@@ -16,7 +16,7 @@ needs one tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import DirectedGraph, Graph, UndirectedGraph, _sorted_lists
@@ -164,7 +164,8 @@ def _candidates(g: Graph) -> Iterator[Tuple[int, Iterable[int]]]:
         yield 0, chain.from_iterable(parts[:-1])
     trees = _dominator_trees(g)
     for c in sorted({*trees[0][0], *trees[1][0]} - {0}):
-        yield c, chain(*[islice(order, lo[c], pos[c]) for _, (order, pos, lo) in trees])
+        yield c, chain(*[map(order.__getitem__, range(lo[c], pos[c]))
+                         for _, (order, pos, lo) in trees])
 
 
 def _bridges(g: Graph) -> Iterator[Tuple[Tuple[int, int], set]]:

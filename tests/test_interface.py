@@ -168,6 +168,38 @@ class TestGraphmlIngestion:
         with pytest.raises(ParseError, match="unknown format 'bogus'"):
             read_graph(f, "bogus")
 
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
+        # sniffing shares the read the parser uses, for both formats
+        opened = []
+        real = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr("builtins.open", counting_open)
+        sniffed, suffixed, edges = tmp_path / "g.xml", tmp_path / "g.graphml", tmp_path / "g.edges"
+        for f in (sniffed, suffixed):
+            f.write_text(self.GOOD)
+        edges.write_text("a b\nb a\n")
+        for f, format in ((sniffed, "auto"), (suffixed, "auto"), (sniffed, "graphml"),
+                          (edges, "auto"), (edges, "edgelist")):
+            opened.clear()
+            assert read_graph(f, format).n == 3 - (f is edges)
+            assert opened == [f]
+
+    def test_sniffed_garbage_reported_as_with_the_suffix(self, tmp_path):
+        sniffed, suffixed = tmp_path / "g.xml", tmp_path / "g.graphml"
+        for f in (sniffed, suffixed):
+            f.write_text('<?xml version="1.0"?>\n<graphml><oops')
+        texts = []
+        for f in (sniffed, suffixed):
+            with pytest.raises(ParseError, match=": not parseable as GraphML: ") as err:
+                read_graph(f)
+            texts.append(str(err.value).replace(str(f), "F"))
+        assert texts[0] == texts[1]
+
 
 class TestReportSerialization:
     def test_schema_and_values(self, tmp_path):
