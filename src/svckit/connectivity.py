@@ -24,8 +24,10 @@ strong articulation points of G are the non-trivial dominators of G and
 of its reverse from one root, plus the root if G - root splits, and the
 strong bridges, O(m) over n nodes, are the bridges of those flow graphs
 (Italiano, Laura & Santaroni 2012). The two trees are computed once per
-graph, so the degree-bound-2 scans and the listing share them, and an
-undirected graph needs one tree. A set is sized from the subtrees it cuts
+graph, so the degree-bound-2 scans and the listing share them. An
+undirected graph, where only zeta0 and zeta1 ask, needs no tree: one
+lowpoint DFS (Hopcroft & Tarjan 1973), also kept on the graph, gives its
+articulation points and bridges. A set is sized from the subtrees it cuts
 off: G - c is the root's SCC plus the SCCs among them (Georgiadis,
 Italiano & Parotsidis 2017). Sets at k = sigma >= 2 are the minimum cuts
 of the pairs that reach sigma (prefix pairs with p = k + 1, cyclic pairs

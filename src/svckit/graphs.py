@@ -4,7 +4,8 @@ that the rest of the toolkit builds on.
 
 Graphs are simple (no self-loops, no parallel edges) and immutable after
 construction, so what is derived from one can be kept on it: the slot
-``_doms`` holds its dominator trees once ``scc._dominator_trees`` asks.
+``_doms`` holds a digraph's dominator trees once ``scc._dominator_trees``
+asks, and an undirected graph's lowpoint DFS once ``scc._lowpoints`` does.
 An ``UndirectedGraph`` reads as its own doubled digraph: its sorted
 neighbour lists are both the successor and the predecessor lists of the
 copy ``doubled`` builds, so the directed scans run on it without one.
@@ -37,12 +38,12 @@ Edge = Tuple[int, int]
 
 def _checked_edges(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
     """``edges`` as (u, v) pairs, after the checks both graph types make:
-    n >= 0, endpoints in [0, n), no self-loop."""
+    n >= 0, endpoints ints (not bools) in [0, n), no self-loop."""
     if n < 0:
         raise GraphInputError(f"vertex count must be non-negative, got {n}")
     for e in edges:
         u, v = e
-        if not (0 <= u < n and 0 <= v < n):
+        if not (_is_id(u) and _is_id(v) and 0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge {e!r} has endpoint outside [0, {n})")
         if u == v:
             raise GraphInputError(f"self-loop {e!r} not allowed")

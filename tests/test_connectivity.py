@@ -26,7 +26,7 @@ from svckit.oracle import (
     oracle_weakening_sets,
     oracle_zeta0,
 )
-from svckit.scc import _dominator_trees
+from svckit.scc import _dominator_trees, _lowpoints
 
 from helpers import (
     count_graph_builds,
@@ -247,9 +247,10 @@ class TestWeakeningSets:
             listed += len(got)
         assert listed >= 500 and both >= 200
 
-    def test_one_tree_serves_the_underlying_graph(self):
-        # U(g), read as its doubled digraph, is its own reverse, and one
-        # dominator tree serves as both. Against removing each vertex or
+    def test_one_dfs_serves_the_underlying_graph(self):
+        # U(g), read as its doubled digraph, needs no dominator tree: one
+        # lowpoint DFS gives its articulation points and bridges, the
+        # strong ones of the doubling. Against removing each vertex or
         # arc: the candidates are the root and the articulation points, each
         # with what it cuts off, and the bridges are both arcs of each
         # undirected bridge. The chained blocks of _bound_two have most of
@@ -986,6 +987,61 @@ class TestNetworkxDifferential:
                 sk.underlying(g)
             ) == nx.edge_connectivity(dg.to_undirected()), repr(g)
 
+    def test_lowpoint_dfs_matches_networkx(self):
+        # on U(g) the k = 1 lister reads one lowpoint DFS: its candidates
+        # are networkx's articulation points and its bridges both arcs of
+        # networkx's bridges, each away checked by the reference Tarjan
+        # (on the 2000-vertex path, every 97th; its DFS runs 2000 deep). The
+        # fly-sized core has neither, as zeta0 = zeta1 = 2
+        nx = pytest.importorskip("networkx")
+        core = sk.random_digraph(1781, 0.003, 5)
+        core = sk.induced(core, max(sk.scc(core).components, key=len))[0]
+        graphs = [_fly_shaped(n, extra, seed)
+                  for n, extra, seed in ((60, 6, 0), (100, 50, 1), (140, 210, 2), (200, 20, 3))]
+        graphs += [_bound_two(seed) for seed in range(60)]
+        # the root joins two triangles, then a triangle, a 4-cycle and a path
+        graphs += [_bidirected(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+                   _bidirected(8, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 0),
+                                   (0, 6), (6, 7)])]
+        found = [_assert_lowpoint_lists_match(sk.underlying(g), nx) for g in graphs]
+        roots = sum(0 in points for points, _ in found)
+        assert sum(map(len, (p for p, _ in found))) - roots >= 70 and roots >= 3
+        assert sum(b for _, b in found) >= 40
+        assert _assert_lowpoint_lists_match(sk.underlying(core), nx) == ([], 0)
+        path = sk.underlying(_bidirected(2000, [(v, v + 1) for v in range(1999)]))
+        assert _assert_lowpoint_lists_match(path, nx, every=97) == (list(range(1, 1999)), 3998)
+        assert sk.undirected_vertex_connectivity(path) == 1
+
+
+def _assert_lowpoint_lists_match(u, nx, every=1):
+    # _candidates(u) and _bridges(u) against networkx, and every listed
+    # item's away against the reference Tarjan: for the root, all but a
+    # largest part of u - 0; for any other vertex or arc, all outside the
+    # root's SCC of the rest. Returns the listed vertices and the arc count
+    ug = nx.Graph()
+    ug.add_nodes_from(range(u.n))
+    ug.add_edges_from(u.edges)
+    points, arcs = list(_candidates(u)), list(_bridges(u))
+    assert [c for c, _ in points] == sorted(nx.articulation_points(ug)), u
+    assert [a for a, _ in arcs] == sorted(a for e in nx.bridges(ug) for a in (e, e[::-1])), u
+    adj, everyone = [u.neighbors(v) for v in range(u.n)], set(range(u.n))
+    for c, away in points[::every]:
+        away, dead = set(away), bytearray(u.n)  # an iterable, read once
+        dead[c] = 1
+        comps = list(map(set, reference_components(adj, dead)))
+        kept = everyone - away - {c}
+        assert c not in away, (u, c)
+        if c == 0:
+            assert kept in comps and len(kept) == max(map(len, comps)), u
+        else:
+            assert kept == next(comp for comp in comps if 0 in comp), (u, c)
+    for (a, b), away in arcs[::every]:
+        rest = adj[:]
+        rest[a] = [w for w in adj[a] if w != b]
+        comps = reference_components(rest, bytearray(u.n))
+        assert everyone - away == set(next(comp for comp in comps if 0 in comp)), (u, a, b)
+    return [c for c, _ in points], len(arcs)
+
 
 class TestBoundTwoCertificate:
     """At degree bound 2 the scans decide 1 or 2 from one strong
@@ -1159,12 +1215,12 @@ class TestReport:
         assert built == ["DirectedGraph"]
 
     def test_dominator_trees_once_per_graph(self, monkeypatch):
-        # every k = 1 pass reads the graph's pair of dominator trees, built
-        # once and kept on it: g's two, and one for U(g), its own reverse.
-        # The bridged triangles (degree bound 2, all four values 1) run the
-        # pass in all four scans and both listings, 12 trees if each built
-        # its own; a fly-shaped graph (bound 1) in zeta0, zeta1 and both
-        # listings, 8
+        # every k = 1 pass reads what is kept on its graph, built once: g's
+        # two dominator trees, and one lowpoint DFS of U(g). The bridged
+        # triangles (degree bound 2, all four values 1) run the pass in all
+        # four scans and both listings, 8 trees and 2 DFS if each built its
+        # own; a fly-shaped graph (bound 1) in zeta0, zeta1 and both
+        # listings, 4 trees and 2 DFS
         scc_module = importlib.import_module("svckit.scc")
         calls = []
         for name in ("_dominators", "_tree"):
@@ -1172,6 +1228,13 @@ class TestReport:
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(scc_module, name, counted)
+
+        def counted_dfs(u, real=scc_module._lowpoints):
+            if not hasattr(u, "_doms"):  # a read of a kept DFS is no build
+                calls.append("_lowpoints")
+            return real(u)
+
+        monkeypatch.setattr(scc_module, "_lowpoints", counted_dfs)
         bridged = _bidirected(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
         fly = _fly_shaped(100, 50, 1)
         assert (_vertex_upper_bound(bridged), _vertex_upper_bound(fly)) == (2, 1)
@@ -1180,12 +1243,13 @@ class TestReport:
             rep = sk.report(g, True)
             assert (rep.sigma0, rep.sigma1, rep.zeta0_underlying, rep.zeta1_underlying) == values
             assert min(rep.witness_counts) >= 1
-            assert (calls.count("_dominators"), calls.count("_tree")) == (3, 3), g
+            assert (calls.count("_dominators"), calls.count("_tree")) == (2, 2), g
+            assert calls.count("_lowpoints") == 1, g
         calls.clear()
         und = sk.underlying(fly)
         assert _vertex_upper_bound(und) == min(_degrees(und)) == 2
         assert sk.undirected_vertex_connectivity(und) == sk.undirected_edge_connectivity(und) == 2
-        assert calls == ["_dominators", "_tree"]
+        assert calls == ["_lowpoints"]
 
     def test_trees_stay_with_their_graph(self):
         # a second report on the same object, its trees already built,
@@ -1199,8 +1263,9 @@ class TestReport:
                    sk.remove_edges(g, [(4, 2)]), sk.underlying(g)]
         for h in derived:
             fresh = type(h)(h.n, h.edges)
-            assert _dominator_trees(h) == _dominator_trees(fresh), h
-            assert _dominator_trees(h) != _dominator_trees(g), h
+            kept = _dominator_trees if isinstance(h, sk.DirectedGraph) else _lowpoints
+            assert kept(h) == kept(fresh), h
+            assert kept(h) != _dominator_trees(g), h
         assert _dominator_trees(derived[1]) is None  # 3 is cut off
         rep = sk.report(derived[0], True)
         assert rep == sk.report(sk.DirectedGraph(8, derived[0].edges), True)

@@ -52,6 +52,20 @@ class TestConstruction:
                                match=r"^edge \(0, 2\) has endpoint outside \[0, 2\)$"):
                 cls(2, [(0, 2)])
 
+    def test_rejects_bool_endpoint(self):
+        # True would otherwise build arc (1, 2), with no error
+        with pytest.raises(GraphInputError, match=r"^edge \(True, 2\) has endpoint outside"):
+            sk.DirectedGraph(3, [(True, 2), (2, 0), (0, 1)])
+
+    def test_rejects_float_endpoint_in_a_digraph(self):
+        # 0.0 passes the range check and used to raise TypeError on indexing
+        with pytest.raises(GraphInputError, match=r"^edge \(0\.0, 1\) has endpoint outside"):
+            sk.DirectedGraph(3, [(0.0, 1)])
+
+    def test_rejects_float_endpoint_in_an_undirected_graph(self):
+        with pytest.raises(GraphInputError, match=r"^edge \(0\.5, 1\) has endpoint outside"):
+            sk.UndirectedGraph(3, [(0.5, 1)])
+
     def test_rejects_negative_vertex_count(self):
         for cls in (sk.DirectedGraph, sk.UndirectedGraph):
             with pytest.raises(GraphInputError,
