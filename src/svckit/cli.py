@@ -175,8 +175,6 @@ def _run(args) -> int:
         return 0
     if cmd == "iterate":
         tree = iterate(g, max_depth=args.depth, enumerate_large=args.enumerate_large)
-        print(f"sigma_trace: {sigma_trace(tree)}")
-        print(f"zeta_trace: {zeta_trace(tree)}")
         if args.out:
             try:
                 text = to_canonical_json(tree_to_dict(tree, g))
@@ -188,6 +186,8 @@ def _run(args) -> int:
                 raise PreconditionError(f"the decomposition tree is {depth} levels deep, "
                                         f"too deep for the nested {SCHEMA} format") from None
             _emit(text, args.out)
+        print(f"sigma_trace: {sigma_trace(tree)}")
+        print(f"zeta_trace: {zeta_trace(tree)}")
         return 0
     if cmd == "export-dot":
         highlight = None

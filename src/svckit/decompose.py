@@ -21,11 +21,12 @@ from .connectivity import (
     EnumerationGuardError,
     WeakeningSet,
     _listed,
+    _require_strong,
     _svc,
     vertex_pair_scan,
 )
 from .graphs import DirectedGraph, PreconditionError, UndirectedGraph, induced, underlying
-from .scc import _components, is_strongly_connected
+from .scc import _components
 
 
 @dataclass
@@ -111,8 +112,7 @@ def iterate(
     has; ``weakening_vertex_sets`` on its induced subgraph lists them."""
     if max_depth < 1:
         raise PreconditionError(f"max_depth must be >= 1, got {max_depth}")
-    if g.n < 2 or not is_strongly_connected(g):
-        raise PreconditionError("graph must be strongly connected with n >= 2")
+    _require_strong(g)
     # depth-first from an explicit stack, not recursion, so depth is bounded
     # by memory only: (list to append the node to, its vertices, depth)
     roots: List[DecompositionNode] = []

@@ -45,18 +45,13 @@ def read_graph_detailed(path: Union[str, Path], format: str = "auto") -> IngestR
     """``format`` is "edgelist", "graphml" or "auto": GraphML for a
     ``.graphml`` suffix or XML content, else an edge list."""
     path = Path(path)
+    if format not in ("auto", "edgelist", "graphml"):
+        raise ParseError(f"unknown format {format!r}")
     if format == "auto" and path.suffix.lower() == ".graphml":
         format = "graphml"
-    data = None
-    if format in ("auto", "edgelist"):
-        data, format = _read(path, format)
-    if format == "edgelist":
-        pairs, isolated = _parse_edgelist(data, path)
-    elif format == "graphml":
-        pairs, isolated = _parse_graphml(path, data)
-    else:
-        raise ParseError(f"unknown format {format!r}")
-    return _assemble(pairs, isolated, path)
+    data, format = _read(path, format)
+    parse = _parse_edgelist if format == "edgelist" else _parse_graphml
+    return _assemble(*parse(data, path), path)
 
 
 def _read(path: Path, format: str) -> Tuple[Union[str, bytes], str]:
@@ -92,19 +87,15 @@ def _parse_edgelist(text: str, path: Path) -> Tuple[List[List[str]], List[str]]:
     return pairs, isolated
 
 
-def _parse_graphml(
-    path: Path, data: Optional[bytes] = None
-) -> Tuple[List[Tuple[str, str]], List[str]]:
-    """Parses ``data``, the file's bytes if already read, else the file."""
+def _parse_graphml(data: bytes, path: Path) -> Tuple[List[Tuple[str, str]], List[str]]:
     try:
-        tree = ET.parse(path if data is None else io.BytesIO(data))
-    except (ET.ParseError, OSError) as exc:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
         raise ParseError(f"{path}: not parseable as GraphML: {exc}") from exc
 
     def local(tag: str) -> str:
         return tag.rsplit("}", 1)[-1]
 
-    root = tree.getroot()
     graphs = [el for el in root.iter() if local(el.tag) == "graph"]
     if len(graphs) != 1:
         raise ParseError(f"{path}: expected exactly one <graph>, found {len(graphs)}")

@@ -1,4 +1,6 @@
-"""Brute-force reference implementations, used only by the test suite.
+"""Brute-force reference implementations for the test suite. This module
+lives in ``tests/``, beside ``helpers.py``, and is not part of the installed
+``svckit`` package.
 
 Everything here is computed literally from the definitions: reachability
 by repeated boolean matrix squaring over bitmask rows, connectivity by
@@ -13,7 +15,7 @@ import itertools
 from math import comb
 from typing import Iterable, List, Tuple
 
-from .graphs import DirectedGraph, PreconditionError
+from svckit.graphs import DirectedGraph, PreconditionError
 
 _MAX_N = 12
 _MAX_SUBSETS = 2_000_000

@@ -16,7 +16,8 @@ import pytest
 
 import svckit as sk
 from svckit.interface import read_graph
-from svckit.oracle import oracle_local_sigma, oracle_svc, oracle_sec, oracle_zeta0
+
+from oracle import oracle_local_sigma, oracle_svc, oracle_sec, oracle_zeta0
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "connectomes"
 

@@ -180,8 +180,9 @@ class TestIterate:
             code = main(argv)
         finally:
             sys.setrecursionlimit(limit)
-        err = capsys.readouterr().err
+        out_text, err = capsys.readouterr()
         assert code == 3
+        assert out_text == ""
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert "levels deep" in err and "svckit-report/1" in err
         assert "Traceback" not in err
@@ -190,6 +191,24 @@ class TestIterate:
         assert main(argv) == 0
         assert "sigma_trace: [1" in capsys.readouterr().out
         assert json.loads(out.read_text())["kind"] == "decomposition"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a b\nb c\n", "graph is not strongly connected"),
+        ("a\n", "graph must have >= 2 vertices, got 1")])
+    def test_precondition_shared_with_svc(self, tmp_path, capsys, text, message):
+        f = tmp_path / "g.edges"
+        f.write_text(text)
+        for argv in (["svc", str(f)], ["iterate", str(f), "--depth", "2"]):
+            assert main(argv) == 3, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+    def test_unwritable_out_prints_no_trace(self, gamma13_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.json"
+        assert main(["iterate", gamma13_file, "--depth", "3", "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestExportDot:
@@ -220,6 +239,20 @@ class TestErrorHandling:
 
     def test_missing_file(self):
         assert run_cli(["svc", "/nonexistent/graph.edges"]).returncode == 2
+
+    @pytest.mark.parametrize("name", ["missing.edges", "missing.graphml"])
+    def test_missing_file_reported_by_the_one_read(self, tmp_path, capsys, name):
+        f = tmp_path / name
+        assert main(["svc", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {f}: [Errno 2] " \
+            f"No such file or directory: '{f}'\n"
+
+    @pytest.mark.parametrize("format", ["auto", "edgelist", "graphml"])
+    def test_directory_reported_by_the_one_read(self, tmp_path, capsys, format):
+        assert main(["svc", str(tmp_path), "--format", format]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path}: [Errno ")
+        assert len(err.splitlines()) == 1
 
     def test_parse_error(self, tmp_path):
         f = tmp_path / "bad.edges"

@@ -19,13 +19,6 @@ from svckit.connectivity import (
 )
 from svckit.flow import EdgeFlowNetwork, VertexFlowNetwork
 from svckit.graphs import GraphInputError, PreconditionError
-from svckit.oracle import (
-    oracle_local_sigma,
-    oracle_sec,
-    oracle_svc,
-    oracle_weakening_sets,
-    oracle_zeta0,
-)
 from svckit.scc import _dominator_trees, _lowpoints
 
 from helpers import (
@@ -35,6 +28,13 @@ from helpers import (
     reference_svc,
     reference_weakening_sets,
     strongly_connected_corpus,
+)
+from oracle import (
+    oracle_local_sigma,
+    oracle_sec,
+    oracle_svc,
+    oracle_weakening_sets,
+    oracle_zeta0,
 )
 
 class TestLocalSigma:

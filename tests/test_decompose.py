@@ -6,9 +6,9 @@ import pytest
 import svckit as sk
 from svckit.flow import VertexFlowNetwork
 from svckit.graphs import PreconditionError
-from svckit.oracle import oracle_svc, oracle_zeta0
 
 from helpers import count_graph_builds, strongly_connected_corpus
+from oracle import oracle_svc, oracle_zeta0
 
 
 def test_four_cycle_depth_one():

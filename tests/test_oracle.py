@@ -5,7 +5,9 @@ import pytest
 
 import svckit as sk
 from svckit.graphs import PreconditionError
-from svckit.oracle import (
+
+from helpers import strongly_connected_corpus
+from oracle import (
     oracle_is_strongly_connected,
     oracle_local_sigma,
     oracle_sec,
@@ -14,8 +16,6 @@ from svckit.oracle import (
     oracle_weakening_sets,
     oracle_zeta0,
 )
-
-from helpers import strongly_connected_corpus
 
 
 def test_strong_connectivity_basics():

@@ -3,10 +3,10 @@ import random
 import pytest
 
 import svckit as sk
-from svckit.oracle import oracle_scc_ids
 from svckit.scc import _components
 
 from helpers import reference_components, seeded_random_graphs
+from oracle import oracle_scc_ids
 
 
 def test_directed_cycle_single_component():
