@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, TextIO, Tuple
 
 from . import families
 from .connectivity import (
@@ -117,23 +117,22 @@ def _load(args) -> DirectedGraph:
     return g
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+def _emit(out: Optional[str], write: Callable[[TextIO], object]) -> None:
+    """``write`` to the file ``out`` (named if it cannot be), else to stdout."""
+    if not out:
+        write(sys.stdout)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write(fh)
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc}") from None
 
 
 def _run(args) -> int:
     cmd = args.command
     if cmd == "generate":
-        g = _generate(args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                write_edgelist(g, fh)
-        else:
-            write_edgelist(g, sys.stdout)
+        _emit(args.out, functools.partial(write_edgelist, _generate(args)))
         return 0
     if cmd == "iterate" and args.depth < 1:
         raise GraphInputError(f"--depth must be >= 1, got {args.depth}")
@@ -147,7 +146,8 @@ def _run(args) -> int:
             limit=args.limit,
             allow_large=args.enumerate_large,
         )
-        _emit(to_canonical_json(report_to_dict(rep, g)), args.out)
+        text = to_canonical_json(report_to_dict(rep, g))
+        _emit(args.out, lambda fh: fh.write(text))
         return 0
     if cmd == "svc":
         print(svc(g))
@@ -185,7 +185,7 @@ def _run(args) -> int:
                 depth = max(x.depth for x in nodes)
                 raise PreconditionError(f"the decomposition tree is {depth} levels deep, "
                                         f"too deep for the nested {SCHEMA} format") from None
-            _emit(text, args.out)
+            _emit(args.out, lambda fh: fh.write(text))
         print(f"sigma_trace: {sigma_trace(tree)}")
         print(f"zeta_trace: {zeta_trace(tree)}")
         return 0

@@ -15,9 +15,11 @@ v_j -> y for j > p, x and y joined to v_1 .. v_{j-1}. A separator S with
 |S| < best misses a prefix vertex: two outside S lie in different SCCs of
 G - S, and a first pair crosses S, or all lie in one, C, and S cuts x from
 the first v_j outside S + C, or v_j from y. A cut of fewer than j - 1
-vertices spares a prefix vertex, so it is a separator. The edge case
-follows the cyclic order lambda = min_i lambda(v_i, v_{i+1 mod n}) (a
-minimum cut delta+(S) is crossed by some consecutive pair leaving S).
+vertices spares a prefix vertex, so it is a separator. The edge case runs
+them with p = 1 on the arc network (Hao & Orlin 1994): a minimum cut
+delta+(T) cuts x from the first v_j outside T if v_1 is in T, else the
+first v_j in T from y, and x's and y's arcs are never cut. It runs both
+ways on an UndirectedGraph too: one way gives the value, not every cut.
 
 Minimum vertex and edge sets at k = 1 come from one dominator pass: the
 strong articulation points of G are the non-trivial dominators of G and
@@ -30,8 +32,8 @@ lowpoint DFS (Hopcroft & Tarjan 1973), also kept on the graph, gives its
 articulation points and bridges. A set is sized from the subtrees it cuts
 off: G - c is the root's SCC plus the SCCs among them (Georgiadis,
 Italiano & Parotsidis 2017). Sets at k = sigma >= 2 are the minimum cuts
-of the pairs that reach sigma (prefix pairs with p = k + 1, cyclic pairs
-for edges), listed from each pair's residual network by the lister both
+of the pairs that reach sigma (prefix pairs with p = k + 1 for vertices,
+p = 1 for edges), listed from each pair's residual network by the lister both
 flow networks share (Picard & Queyranne 1980): one flow capped at k + 1
 per pair plus O(m) per cut, each sized by a full Kosaraju pass over the
 vertex lists; no graph is rebuilt. Every listed set weakens G by
@@ -59,7 +61,7 @@ from .graphs import (
     stats,
     underlying,
 )
-from .flow import EdgeFlowNetwork, VertexFlowNetwork
+from .flow import EdgeFlowNetwork, VertexFlowNetwork, _Network
 from .scc import _bridges, _candidates, _components, is_strongly_connected, scc
 
 
@@ -153,11 +155,13 @@ def _degree_order(g: Graph) -> List[int]:
     return sorted(range(g.n), key=lambda v: -(len(g.successors(v)) + len(g.predecessors(v))))
 
 
-def _prefix_pairs(net: VertexFlowNetwork, p: int) -> Iterator[Tuple[int, int]]:
+def _prefix_pairs(net: _Network, p: int) -> Iterator[Tuple[int, int]]:
     """Even's pairs on ``_degree_order``, vertex n naming x and y: each
     non-arc pair among the first p vertices, then (n, v) and (v, n) for each
-    later v, enabled after its pairs; one way on an UndirectedGraph."""
-    g, ways, order = net.g, 2 - isinstance(net.g, UndirectedGraph), _degree_order(net.g)
+    later v, enabled after its pairs; one way on an UndirectedGraph's split
+    network."""
+    g, order = net.g, _degree_order(net.g)
+    ways = 2 - (isinstance(g, UndirectedGraph) and net.split == 2)
     for j, v in enumerate(order):
         yield from ((a, b) for u in order[:j] for a, b in ((u, v), (v, u))[:ways]
                     if not g.has_edge(a, b)) if j < p else ((g.n, v), (v, g.n))[:ways]
@@ -165,15 +169,10 @@ def _prefix_pairs(net: VertexFlowNetwork, p: int) -> Iterator[Tuple[int, int]]:
 
 
 def _network(g: Graph, kind: str, p: int) -> Tuple:
-    """A flow network of g and its pairs: prefix or cyclic pairs."""
+    """A flow network of g and its prefix pairs, on p prefix vertices for
+    vertex cuts and on one for edge cuts (Hao & Orlin 1994)."""
     net = VertexFlowNetwork(g) if kind == "vertex" else EdgeFlowNetwork(g)
-    return net, _prefix_pairs(net, p) if kind == "vertex" else _cyclic_pairs(g)
-
-
-def _cyclic_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
-    """(v, v + 1 mod n) for every v: a minimum edge cut delta+(S) is
-    crossed by some consecutive pair leaving S."""
-    return ((v, (v + 1) % g.n) for v in range(g.n))
+    return net, _prefix_pairs(net, p if kind == "vertex" else 1)
 
 
 def vertex_pair_scan(g: DirectedGraph, k: int) -> Tuple[int, Optional[Tuple[int, ...]]]:
@@ -213,9 +212,10 @@ def svc(g: DirectedGraph) -> int:
 
 
 def sec(g: Graph) -> int:
-    """sigma1: strong edge connectivity, as the minimum edge flow between
-    cyclically consecutive vertices 0 -> 1 -> ... -> n-1 -> 0 (``_scan``).
-    An UndirectedGraph is read as its doubled digraph."""
+    """sigma1: strong edge connectivity. The minimum arc-network flow over
+    ``_prefix_pairs`` on one prefix vertex, from the degree bound
+    (``_scan``): at most 2(n - 1) flows, most settled by packing short
+    paths. An UndirectedGraph is read as its doubled digraph."""
     _require_strong(g)
     return _sec(g)
 
@@ -233,9 +233,9 @@ def _listed(g: Graph, kind: str, k: int, allow_large: bool) -> Iterable[Tuple]:
     construction: an (n-1)-subset of the complete bidirected graph (also
     n = 2) leaves one vertex; a strong articulation point (``_candidates``)
     or bridge (``_bridges``) cuts ``away`` off; a minimum cut (``min_cuts``,
-    de-duplicated and sorted, ``away`` None) of a cyclic pair separates it,
-    and one of a ``_prefix_pairs`` pair on k + 1 prefix vertices spares a
-    prefix vertex that then misses the pair's far end."""
+    de-duplicated and sorted, ``away`` None) of a ``_prefix_pairs`` pair
+    spares a prefix vertex that then misses the pair's far end: an edge cut
+    spares every vertex, and a vertex cut one of k + 1 prefix vertices."""
     if k >= 3 and not allow_large:
         name = "sigma0" if kind == "vertex" else "sigma1"
         raise EnumerationGuardError(
@@ -314,11 +314,12 @@ def weakening_edge_sets(
 
     At sigma1 = 1 enumeration costs one strong bridge pass (dominator
     trees of g and its reverse, O(m) over n nodes) and an SCC pass per
-    bridge over the vertices it cuts off. At k = sigma1 >= 2 it costs n
-    flows capped at k + 1, one per cyclic pair (v, v + 1 mod n), plus O(m)
-    per minimum cut of a pair, from its residual network (Picard &
-    Queyranne 1980), and a full O(m) SCC pass per cut; ``limit`` caps the
-    sizing, not that listing. sigma1 >= 3 needs allow_large=True.
+    bridge over the vertices it cuts off. At k = sigma1 >= 2 it costs one
+    arc-network flow capped at k + 1 per prefix pair on one prefix vertex
+    (2(n - 1) pairs, most settled by packing short paths), plus O(m) per
+    minimum cut of a pair, from its residual network (Picard & Queyranne
+    1980), and a full O(m) SCC pass per cut; ``limit`` caps the sizing,
+    not that listing. sigma1 >= 3 needs allow_large=True.
     """
     _check_limit(limit)
     return _weakening_sets(g, "edge", sec(g), limit, allow_large)

@@ -54,7 +54,7 @@ def gamma(p: FamilyParams) -> DirectedGraph:
     w, wp, u, v = blocks["W"], blocks["W'"], blocks["U"], blocks["V"]
     edges = []
     if 2 * a <= b:
-        # cyclic layers: U -> W -> V -> W' -> U
+        # layers in a ring: U -> W -> V -> W' -> U
         edges += [(x, y) for x in u for y in w]
         edges += [(x, y) for x in w for y in v]
         edges += [(x, y) for x in v for y in wp]

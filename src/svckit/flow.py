@@ -2,31 +2,32 @@
 internally-vertex-disjoint paths between a vertex pair, with a minimum-cut
 certificate and an optional cap at which the search stops early.
 
-A graph's flow network is built at most once (``VertexFlowNetwork``,
-``EdgeFlowNetwork``) with a template of its capacities; a flow that
-augments starts from a fresh copy of the template, so any number of pairs
-can run on one network. ``vertex_max_flow`` and ``edge_max_flow`` are
-one-shot wrappers over these networks. A network takes any graph with
-``n``, sorted ``successors`` lists and ``has_edge``: a ``DirectedGraph``,
-or an ``UndirectedGraph`` read as its doubled digraph.
+A graph's flow network (``VertexFlowNetwork``, ``EdgeFlowNetwork``) is
+built at most once, by the first flow that needs it, with a template of
+its capacities; a flow that augments starts from a fresh copy of the
+template, so any number of pairs can run on one network.
+``vertex_max_flow`` and ``edge_max_flow`` are one-shot wrappers over these
+networks. A network takes any graph with ``n``, sorted ``successors``
+lists and ``has_edge``: a ``DirectedGraph``, or an ``UndirectedGraph``
+read as its doubled digraph.
 
-Both networks share one ``flow`` and one minimum-cut lister,
-``min_cuts``, which lists each minimum cut of a pair once from its final
-residual network. Only two things differ: which item a forward arc cuts
-(a vertex of the split network, or an edge in sorted order) and how
-``_start`` maps a pair to its source and sink nodes.
+Both networks are one class, ``_Network``, with one build, one packing,
+one ``flow`` and one minimum-cut lister, ``min_cuts``, which lists each
+minimum cut of a pair once from its final residual network. Only whether
+vertices are split differs. The split network uses the standard
+splitting transform (w -> w_in -> w_out with capacity 1 on the internal
+arc, its cut item), so the flow counts internally disjoint paths; the arc
+network cuts edges, in sorted order. Both join a super source x and sink y
+to each vertex once it is enabled (Even 1975), by arcs no minimum cut
+takes.
 
-Vertex mode uses the standard splitting transform (w -> w_in -> w_out with
-capacity 1 on the internal arc), so the flow counts internally disjoint
-paths, plus a super source x and sink y joined to each vertex once it is
-enabled (Even 1975). A flow packs disjoint paths s -> a -> t, then
-s -> a -> b -> t, then, for a capped flow still short, s -> a -> b -> c -> t,
-from the adjacency lists, and augments only for the rest (Even & Tarjan
-1975), on a split network built by the first flow that needs it; a flow the
-packing settles copies nothing. Values and cuts do not depend on the
-starting flow: a saturated flow only certifies its cap, and every maximum
-flow leaves the same set reachable from s in its residual network, where
-the cut is read.
+A flow packs disjoint paths s -> a -> t, then s -> a -> b -> t, then, for
+a capped flow still short, s -> a -> b -> c -> t, from the adjacency
+lists, and augments only for the rest (Even & Tarjan 1975); a flow the
+packing settles copies and builds nothing. Values and cuts do
+not depend on the starting flow: a saturated flow only certifies its cap,
+and every maximum flow leaves the same set reachable from s in its
+residual network, where the cut is read.
 
 Pairs are checked once, by the one-shot wrappers; the networks take valid
 pairs (distinct, in range, no arc s -> t for vertex flows).
@@ -56,16 +57,46 @@ class FlowAnswer:
 
 
 class _Network:
-    """Fixed arc structure plus template capacities. Arc ``2i`` is a
-    forward arc and ``2i + 1`` its residual reverse (template capacity 0);
-    forward arc ``2i`` cuts ``items[i]`` when it has one. ``_start`` maps a
-    vertex pair to its source and sink nodes and packs paths up to a limit,
-    which only the split network does."""
+    """Fixed arc structure plus template capacities, built by the first
+    flow its packing leaves short. Arc ``2i`` is a forward arc and
+    ``2i + 1`` its residual reverse (template capacity 0); forward arc
+    ``2i`` cuts ``items[i]`` when it has one. Vertex v is node ``split*v``
+    going in and ``split*v + split - 1`` going out, y is node ``split*n``
+    and x node ``split*n + 1``."""
 
-    def __init__(self, size: int):
-        self.head: List[List[int]] = [[] for _ in range(size)]
-        self.to: List[int] = []
-        self.template: List[int] = []
+    def __init__(self, g: Graph):
+        self.g, self.on, self.to = g, bytearray(g.n), []
+        self.items = range(g.n) if self.split == 2 else [
+            (u, v) for u in range(g.n) for v in g.successors(u)]
+
+    def _build(self) -> None:
+        """The internal arcs w_in -> w_out (capacity 1), then each edge
+        (u, v), in sorted order, as u_out -> v_in: capacity n, which keeps
+        every minimum cut on the internal arcs, or 1 with no split."""
+        g, n, split = self.g, self.g.n, self.split
+        self.head, self.template = [[] for _ in range(split * n + 2)], []
+        for w in range(n if split == 2 else 0):
+            self._add_arc(2 * w, 2 * w + 1, 1)
+        for u in range(n):
+            for v in g.successors(u):
+                self._add_arc(split * u + split - 1, split * v, n if split == 2 else 1)
+        self.xy = len(self.to)  # arc xy + 4v is x -> v_in, xy + 4v + 2 is v_out -> y
+        for v in range(n):
+            if self.on[v]:
+                self.enable(v)
+
+    def enable(self, v: int) -> None:
+        """Open v's arcs from x and to y, capacity n, for the flows to
+        come: more than any flow into or out of one vertex, so no minimum
+        cut takes them."""
+        self.on[v], n, split = 1, self.g.n, self.split
+        if not self.to:
+            return
+        if len(self.to) == self.xy:  # first call since the build: every vertex's, closed
+            for w in range(n):
+                self._add_arc(split * n + 1, split * w, 0)
+                self._add_arc(split * w + split - 1, split * n, 0)
+        self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = n
 
     def _add_arc(self, u: int, v: int, c: int) -> None:
         eid = len(self.to)
@@ -116,10 +147,74 @@ class _Network:
             flow += 1
 
     def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
-        return s, t, []  # edge flows pack nothing
+        """From s_out to t_in, after ``_pack``; vertex n names x as a source
+        and y as a sink. Takes a valid pair (split: no edge (s, t)). No path
+        enters s_in or leaves t_in, so the internal arcs of s and t never
+        carry flow or join a cut."""
+        return self._out(s), self.split * t, self._pack(s, t, limit)
+
+    def _out(self, v: int) -> int:
+        """v's node going out; vertex n names x."""
+        return self.split * v + (1 if v == self.g.n else self.split - 1)
+
+    def _pack(self, s: int, t: int, limit: Optional[int]) -> List[Tuple[int, ...]]:
+        """Vertex-disjoint paths s -> a -> t, then s -> a -> b -> t, up to
+        ``limit``, as vertex tuples, from g's adjacency lists in O(deg^2); from
+        x, backwards from t. A free middle vertex ends a path next to t if it
+        is a predecessor of t (next to x or y: if it is enabled); s and t,
+        maybe an arc s -> t, are no middle. A capped flow still short, with a
+        free first hop left for each missing path, then packs
+        s -> a -> b -> c -> t in O(deg^3), c != a, since b may be a reciprocal
+        neighbour of a. With no split the arc from x or to y cannot be cut, so
+        paths may share the vertex next to it, which stays free."""
+        g, n = self.g, self.g.n
+        step = g.predecessors if s == n else g.successors
+        ends = self.on if n in (s, t) else bytearray(n)
+        for a in () if n in (s, t) else g.predecessors(t):
+            ends[a] = 1
+        near, used = step(t if s == n else s), bytearray(n + 1)
+        used[s] = used[t] = 1
+        paths = [(s, a, t) for a in near if ends[a]][:limit]
+        for p in paths:
+            used[p[1]] = 1
+        share = self.split == 1 and n in (s, t)
+        for a in near:
+            if len(paths) == limit:
+                break
+            for b in () if used[a] else step(a):
+                if ends[b] and not used[b]:
+                    paths.append((s, b, a, t) if s == n else (s, a, b, t))
+                    used[a], used[b] = 1, not share
+                    break
+        if limit is None or len(paths) == limit or sum(not used[a] for a in near) < limit - len(paths):
+            return paths
+        for a in near:
+            if len(paths) == limit:
+                break
+            for b in () if used[a] else step(a):
+                for c in () if used[b] else step(b):
+                    if ends[c] and not used[c] and c != a:
+                        paths.append((s, c, b, a, t) if s == n else (s, a, b, c, t))
+                        used[a], used[b], used[c] = 1, 1, not share
+                        break
+                if used[a]:
+                    break
+        return paths
 
     def _warm(self, paths: List[Tuple[int, ...]]) -> List[int]:
-        return self.template[:]  # a fresh copy, cold
+        """A copy of the template with ``paths`` written in: the forward
+        arcs u_out -> v_in along each (x -> v_in, u_out -> y), then, on the
+        split network, the middles' internal arcs."""
+        if not self.to:
+            self._build()
+        cap, head, to, split = self.template[:], self.head, self.to, self.split
+        for p in paths:
+            arcs = [e for u, v in zip(p, p[1:]) for e in head[self._out(u)]
+                    if to[e] == split * v and not e & 1]
+            for e in arcs + [2 * w for w in p[1:-1] if split == 2]:
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+        return cap
 
     def _run(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, Optional[List[int]], int, List[int]]:
         """``_max_flow`` from the paths ``_start`` packs, then the sink and
@@ -198,109 +293,13 @@ class _Network:
 
 
 class VertexFlowNetwork(_Network):
-    """Split network of ``g``: vertex w becomes 2w (in) and 2w+1 (out),
-    joined by arc ``2w`` of capacity 1; each edge (u, v) becomes
-    2u+1 -> 2v with capacity n, which keeps every minimum cut on the
-    internal arcs. The first flow left short by its packing adds them, the
-    edges in sorted order, from each vertex's sorted successors."""
-
-    def __init__(self, g: Graph):
-        self.g, self.items, self.on, self.to = g, range(g.n), bytearray(g.n), []
-
-    def _build(self) -> None:
-        g, n = self.g, self.g.n
-        super().__init__(2 * n + 2)
-        for w in range(n):
-            self._add_arc(2 * w, 2 * w + 1, 1)
-        for u in range(n):
-            for v in g.successors(u):
-                self._add_arc(2 * u + 1, 2 * v, n)
-        self.xy = len(self.to)  # arc xy + 4v is x -> v_in, xy + 4v + 2 is v_out -> y
-        for v in range(n):
-            if self.on[v]:
-                self.enable(v)
-
-    def enable(self, v: int) -> None:
-        """Open v's arcs from x and to y, capacity n, for the flows to come."""
-        self.on[v], n = 1, self.g.n
-        if not self.to:
-            return
-        if len(self.to) == self.xy:  # first call since the build: every vertex's, closed
-            for w in range(n):
-                self._add_arc(2 * n + 1, 2 * w, 0)
-                self._add_arc(2 * w + 1, 2 * n, 0)
-        self.template[self.xy + 4 * v] = self.template[self.xy + 4 * v + 2] = n
-
-    def _start(self, s: int, t: int, limit: Optional[int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
-        """From s_out to t_in, after ``_pack``; vertex n names x as a source
-        and y as a sink. Takes a valid pair: with an edge (s, t) no
-        separating vertex cut exists. No path enters s_in or leaves t_in, so
-        the internal arcs of s and t never carry flow or join a cut."""
-        return 2 * s + 1, 2 * t, self._pack(s, t, limit)
-
-    def _pack(self, s: int, t: int, limit: Optional[int]) -> List[Tuple[int, ...]]:
-        """Vertex-disjoint paths s -> a -> t, then s -> a -> b -> t, up to
-        ``limit``, as vertex tuples, from g's adjacency lists in O(deg^2); from
-        x, backwards from t. A free middle vertex ends a path next to t if it
-        is a predecessor of t (next to x or y: if it is enabled). A capped
-        flow still short, with a free first hop left for each missing path,
-        then packs s -> a -> b -> c -> t in O(deg^3), s and t marked used and
-        c != a, since b may be s, t or a reciprocal neighbour of a."""
-        g, n = self.g, self.g.n
-        step = g.predecessors if s == n else g.successors
-        ends = self.on if n in (s, t) else bytearray(n)
-        for a in () if n in (s, t) else g.predecessors(t):
-            ends[a] = 1
-        near, used = step(t if s == n else s), bytearray(n + 1)
-        paths = [(s, a, t) for a in near if ends[a]][:limit]
-        for p in paths:
-            used[p[1]] = 1
-        for a in near:
-            if len(paths) == limit:
-                break
-            for b in () if used[a] else step(a):
-                if ends[b] and not used[b]:
-                    paths.append((s, b, a, t) if s == n else (s, a, b, t))
-                    used[a] = used[b] = 1
-                    break
-        if limit is None or len(paths) == limit or sum(not used[a] for a in near) < limit - len(paths):
-            return paths
-        used[s] = used[t] = 1
-        for a in near:
-            if len(paths) == limit:
-                break
-            for b in () if used[a] else step(a):
-                for c in () if used[b] else step(b):
-                    if ends[c] and not used[c] and c != a:
-                        paths.append((s, c, b, a, t) if s == n else (s, a, b, c, t))
-                        used[a] = used[b] = used[c] = 1
-                        break
-                if used[a]:
-                    break
-        return paths
-
-    def _warm(self, paths: List[Tuple[int, ...]]) -> List[int]:
-        if not self.to:
-            self._build()
-        cap, head, to = self.template[:], self.head, self.to
-        for p in paths:  # the arcs u_out -> v_in along p (x -> v_in, u_out -> y), then the middles'
-            arcs = [e for u, v in zip(p, p[1:]) for e in head[2 * u + 1] if to[e] == 2 * v]
-            for e in arcs + [2 * w for w in p[1:-1]]:
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-        return cap
+    """Split network of ``g``: its cuts are vertices."""
+    split = 2
 
 
 class EdgeFlowNetwork(_Network):
-    """Arc network of ``g``: one arc of capacity 1 per edge, in sorted
-    edge order, from each vertex's sorted successors."""
-
-    def __init__(self, g: Graph):
-        super().__init__(g.n)
-        self.g = g
-        self.items = [(u, v) for u in range(g.n) for v in g.successors(u)]
-        for u, v in self.items:
-            self._add_arc(u, v, 1)
+    """Arc network of ``g``: its cuts are edges, in sorted order."""
+    split = 1
 
 
 def edge_max_flow(

@@ -203,12 +203,16 @@ class TestIterate:
             assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
     def test_unwritable_out_prints_no_trace(self, gamma13_file, tmp_path, capsys):
+        # one error line naming the output, as a missing input is named,
+        # and nothing on stdout, for each command that takes --out
         out = tmp_path / "missing" / "t.json"
-        assert main(["iterate", gamma13_file, "--depth", "3", "--out", str(out)]) == 2
-        out_text, err = capsys.readouterr()
-        assert out_text == ""
-        assert err.count("error:") == 1 and err.startswith("error: ")
-        assert not out.exists()
+        for argv in (["iterate", gamma13_file, "--depth", "3"], ["analyze", gamma13_file],
+                     ["generate", "gamma", "--a", "1", "--b", "3"]):
+            assert main(argv + ["--out", str(out)]) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"error: cannot write {out}: [Errno 2] No such file or directory: "
+                f"'{out}'\n"), argv
+            assert not out.exists()
 
 
 class TestExportDot:

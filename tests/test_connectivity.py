@@ -327,13 +327,13 @@ class TestWeakeningSets:
 
     @staticmethod
     def _assert_cuts_are_the_sets(g, witnesses):
-        # the minimum cuts of the cyclic pairs are exactly the minimum
-        # edge sets, so their member union is that of those sets too
+        # the minimum cuts of the Hao-Orlin pairs, (x, v_j) and (v_j, y)
+        # after v_1 on the arc network, are exactly the minimum edge sets
         k, net = sk.sec(g), EdgeFlowNetwork(g)
-        cuts = {cut for v in range(g.n) for cut in net.min_cuts(v, (v + 1) % g.n, k)}
+        cuts = {cut for a, b in _prefix_pairs(net, 1) for cut in net.min_cuts(a, b, k)}
         assert cuts == set(witnesses), g
 
-    def test_cyclic_pair_cuts_are_the_sets_gamma(self):
+    def test_prefix_pair_edge_cuts_are_the_sets_gamma(self):
         # gamma(a < 4, 4) has 14 vertices, past the oracle
         for b in range(1, 5):
             for a in range(1, b + 1):
@@ -344,7 +344,7 @@ class TestWeakeningSets:
                     sets, _ = reference_weakening_sets(g, "edge", sk.sec(g))
                 self._assert_cuts_are_the_sets(g, [m for m, _ in sets])
 
-    def test_cyclic_pair_cuts_are_the_sets_random(self):
+    def test_prefix_pair_edge_cuts_are_the_sets_random(self):
         # the oracle's edge subsets are capped as in test_matches_oracle
         checked = 0
         for g, seed in strongly_connected_corpus(100, n_hi=9):
@@ -354,31 +354,70 @@ class TestWeakeningSets:
                 checked += 1
         assert checked >= 80
 
-    def test_cyclic_pair_flows_bound_the_work(self, monkeypatch):
+    def test_prefix_pair_edge_flows_bound_the_work(self, monkeypatch):
         # gamma(3, 4): sigma1 = 3 on n = 14, m = 70. Its 10 edge sets come
-        # from one flow capped at k + 1 per cyclic pair and no dominator
-        # pass, where a pool of edges with lambda = k (one flow per edge)
-        # and one pass per 2-prefix of it took 70 flows and 406 passes
+        # from one arc-network flow capped at k + 1 per Hao-Orlin pair, the
+        # 2(n - 1) = 26 pairs (x, v_j) and (v_j, y) on the degree order, and
+        # no dominator pass, where a pool of edges with lambda = k (one flow
+        # per edge) and one pass per 2-prefix of it took 70 flows and 406
+        # passes. The augmenting search runs for exactly the 10 pairs whose
+        # packing falls short of the cap, and each ends at k with a cut
         g = sk.gamma(sk.FamilyParams(3, 4))
         k = sk.sec(g)
         module = importlib.import_module("svckit.connectivity")
-        flows, passes = [], []
-        max_flow = EdgeFlowNetwork._max_flow
-
-        def counted_flow(net, cap, s, t, limit, flow=0):
-            flows.append((s, t, limit))
-            return max_flow(net, cap, s, t, limit, flow)
+        passes = []
 
         def counted_bridges(*args):
             passes.append(args)
             return _bridges(*args)
 
-        monkeypatch.setattr(EdgeFlowNetwork, "_max_flow", counted_flow)
+        calls = _count_flows(monkeypatch, EdgeFlowNetwork)
         monkeypatch.setattr(module, "_bridges", counted_bridges)
         sets = _weakening_sets(g, "edge", k, None, True)
-        assert (k, g.n, g.m, len(sets)) == (3, 14, 70, 10)
-        assert flows == [(v, (v + 1) % g.n, k + 1) for v in range(g.n)]
+        pairs = _even_pairs(g, _degree_order(g), 1)
+        assert (k, g.n, g.m, len(pairs), len(sets)) == (3, 14, 70, 26, 10)
+        assert calls["min_cuts"] == [(a, b, k) for a, b in pairs]
+        x = g.n + 1
+        assert [c[:3] for c in calls["pack"]] == [(x if a == g.n else a, b, k + 1) for a, b in pairs]
+        short = [c for c in calls["pack"] if c[3] < k + 1]
+        assert [c[:4] for c in calls["max_flow"]] == short and len(short) == 10
+        assert all(c[3] == k and c[4] for c in calls["max_flow"])
         assert passes == []
+
+    @pytest.mark.parametrize("across", [(2, 3), (3, 2)])
+    def test_planted_edge_cut_late_in_the_degree_order(self, across, monkeypatch):
+        # bidirected K8 on A = 0..7 and K5 on B = 8..12, joined by
+        # across[0] arcs A -> B and across[1] arcs B -> A: the one minimum
+        # edge set is the sparser side's, and A's vertices, then 8, lead
+        # the degree order. A cut delta+(A) is first met by the pair
+        # (x, 8), with x joined to all of A, and delta+(B) by (8, y), at
+        # the ninth vertex of thirteen: the 14 pairs of A's later vertices
+        # all reach the scan's cap, and the scan and the listing both find
+        # the set
+        forward, backward = across
+        arcs = {(u, v) for block in (range(8), range(8, 13))
+                for u, v in itertools.permutations(block, 2)}
+        arcs |= {(i, 8 + i) for i in range(forward)} | {(8 + i, 2 + i) for i in range(backward)}
+        g = sk.DirectedGraph(13, arcs)
+        want = (((0, 8), (1, 9)),) if forward == 2 else (((8, 2), (9, 3)),)
+        assert sorted(_degree_order(g)[:9]) == list(range(9))
+        flows = []
+        run = EdgeFlowNetwork._run
+
+        def counted(net, s, t, limit):
+            result = run(net, s, t, limit)
+            flows.append((s, t, result[0], result[1] is not None))
+            return result
+
+        monkeypatch.setattr(EdgeFlowNetwork, "_run", counted)
+        assert sk.sec(g) == 2
+        below = [i for i, f in enumerate(flows) if f[3]]
+        assert below[0] == 14 and flows[below[-1]][:3] == ((13, 8, 2) if forward == 2
+                                                           else (8, 13, 2)), flows
+        sets, _ = reference_weakening_sets(g, "edge", 2)
+        got = sk.weakening_edge_sets(g)
+        assert [w.members for w in got] == [m for m, _ in sets] == list(want)
+        assert got[0].resulting_scc_sizes == (8, 5)
 
     def test_prefix_pair_flows_bound_the_work(self, monkeypatch):
         # gamma(3, 4): sigma0 = 3 on n = 14. Its one vertex set comes from
@@ -395,7 +434,7 @@ class TestWeakeningSets:
             passes.append(args)
             return _candidates(*args)
 
-        calls = _count_vertex_flows(monkeypatch)
+        calls = _count_flows(monkeypatch)
         monkeypatch.setattr(module, "_candidates", counted_candidates)
         sets = _weakening_sets(g, "vertex", k, None, True)
         pairs = _even_pairs(g, _degree_order(g), k + 1)
@@ -413,7 +452,7 @@ class TestWeakeningSets:
         # 9 of them short, and all 9 end at k, below the cap, and list a cut
         g = sk.random_digraph(30, 0.15, 32)
         k = sk.svc(g)
-        calls = _count_vertex_flows(monkeypatch)
+        calls = _count_flows(monkeypatch)
         sets = _weakening_sets(g, "vertex", k, None, False)
         pairs = _even_pairs(g, _degree_order(g), k + 1)
         assert (k, g.n, len(sets), len(pairs)) == (2, 30, 9, 57)
@@ -805,13 +844,13 @@ def _bridged(n, p, k, seed):
     return sk.DirectedGraph(n, arcs)
 
 
-def _count_vertex_flows(monkeypatch):
-    # records each split-network min_cuts call as (s, t, k), each packing
-    # as (source node, sink node, limit, paths packed), and each augmenting
-    # search as (source node, sink node, limit, units packed, ended below)
+def _count_flows(monkeypatch, network=VertexFlowNetwork):
+    # records each min_cuts call as (s, t, k), each packing as (source
+    # node, sink node, limit, paths packed), and each augmenting search as
+    # (source node, sink node, limit, units packed, ended below)
     calls = {"min_cuts": [], "pack": [], "max_flow": []}
-    min_cuts, pack = VertexFlowNetwork.min_cuts, VertexFlowNetwork._pack
-    max_flow = VertexFlowNetwork._max_flow
+    min_cuts, pack = network.min_cuts, network._pack
+    max_flow = network._max_flow
 
     def counted_cuts(net, s, t, k):
         calls["min_cuts"].append((s, t, k))
@@ -819,7 +858,7 @@ def _count_vertex_flows(monkeypatch):
 
     def counted_pack(net, s, t, limit):
         paths = pack(net, s, t, limit)
-        calls["pack"].append((2 * s + 1, 2 * t, limit, len(paths)))
+        calls["pack"].append((net._out(s), net.split * t, limit, len(paths)))
         return paths
 
     def counted_flow(net, cap, s, t, limit, flow=0):
@@ -827,9 +866,9 @@ def _count_vertex_flows(monkeypatch):
         calls["max_flow"].append((s, t, limit, flow, parent is not None))
         return value, parent
 
-    monkeypatch.setattr(VertexFlowNetwork, "min_cuts", counted_cuts)
-    monkeypatch.setattr(VertexFlowNetwork, "_pack", counted_pack)
-    monkeypatch.setattr(VertexFlowNetwork, "_max_flow", counted_flow)
+    monkeypatch.setattr(network, "min_cuts", counted_cuts)
+    monkeypatch.setattr(network, "_pack", counted_pack)
+    monkeypatch.setattr(network, "_max_flow", counted_flow)
     return calls
 
 
@@ -1100,13 +1139,14 @@ class TestBoundTwoCertificate:
         flows = []
 
         def counted(real):
-            def flow(net, s, t, cap=None):
+            # at _run, which every scan, listing and flow goes through
+            def run(net, s, t, limit):
                 flows.append((s, t))
-                return real(net, s, t, cap=cap)
-            return flow
+                return real(net, s, t, limit)
+            return run
 
         for network in (VertexFlowNetwork, EdgeFlowNetwork):
-            monkeypatch.setattr(network, "flow", counted(network.flow))
+            monkeypatch.setattr(network, "_run", counted(network._run))
         assert sk.svc(g) == sk.sec(g) == 2
         assert sk.undirected_vertex_connectivity(und) == 2
         assert sk.undirected_edge_connectivity(und) == 2

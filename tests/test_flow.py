@@ -230,6 +230,36 @@ class TestPackedStart:
                         net.enable(v)
         assert min(longest) >= 100, longest
 
+    def test_edge_packed_paths_are_arc_disjoint_paths_of_g(self):
+        # the same pairs on the arc network, arcs s -> t included: every
+        # packed path is a path of g (x -> v and v -> y only for an enabled
+        # v) that does not pass through s or t, no two share an arc other
+        # than one from x or into y, and warming the network writes no
+        # negative capacity. Many super pairs share the vertex next to x or
+        # y, and many flows take a path of three middle vertices
+        rng, shared, longest = random.Random(5), 0, 0
+        for d, _ in seeded_random_graphs(30, n_lo=6, n_hi=14, probs=(0.15, 0.25, 0.4)):
+            for g in (d, sk.underlying(d)):
+                net, n = EdgeFlowNetwork(g), g.n
+                for v in [None] + rng.sample(range(n), n):
+                    for s, t in itertools.permutations(range(n), 2) if v is None else ((n, v), (v, n)):
+                        for cap in (1, 2, 3, 4):
+                            paths = net._pack(s, t, cap)
+                            arcs = [a for p in paths for a in zip(p, p[1:]) if n not in a]
+                            assert len(paths) <= cap and all(p[0] == s and p[-1] == t for p in paths)
+                            assert len(set(arcs)) == len(arcs), (s, t, paths)
+                            assert not {s, t} & {w for p in paths for w in p[1:-1]}
+                            for p in paths:
+                                assert all(net.on[w] if u == n else net.on[u] if w == n
+                                           else g.has_edge(u, w) for u, w in zip(p, p[1:])), p
+                            assert min(net._warm(paths)) >= 0
+                            ends = [p[1] if s == n else p[-2] for p in paths]
+                            shared += len(set(ends)) < len(ends)
+                            longest += any(len(p) == 5 for p in paths)
+                    if v is not None:
+                        net.enable(v)
+        assert shared >= 200 and longest >= 1000, (shared, longest)
+
     def test_super_pairs_match_an_explicit_terminal(self):
         # vertex n names x as a source and y as a sink, joined to the
         # enabled vertices only: the flow, its cut and every minimum cut are
@@ -496,3 +526,18 @@ class TestUndirectedNetworks:
                     assert enet.flow(s, t) == sk.edge_max_flow(dd, s, t), seed
                     if not d.has_edge(s, t):
                         assert vnet.flow(s, t) == sk.vertex_max_flow(dd, s, t), seed
+
+    def test_edge_listing_matches_the_doubled_digraph(self):
+        # weakening_edge_sets(d) equals weakening_edge_sets(doubled(d)):
+        # one direction of each edge pair gives zeta1, but listing needs
+        # both, so the arc network runs both on an UndirectedGraph too.
+        # Seeded graphs with n 4-12, most with zeta1 >= 2
+        listed = 0
+        for g, seed in seeded_random_graphs(60, n_lo=4, n_hi=12, probs=(0.25, 0.4, 0.6)):
+            d = sk.underlying(g)
+            if not d.is_connected():
+                continue
+            got = sk.weakening_edge_sets(d, allow_large=True)
+            assert got == sk.weakening_edge_sets(sk.doubled(d), allow_large=True), seed
+            listed += sk.sec(d) >= 2
+        assert listed >= 30, listed
